@@ -3,8 +3,8 @@
     One slot per instruction line (a line with an enclosing method); slots
     are in line order.  Per-category search postings index into this arena
     with plain ints, and hit records are materialised from a slot only when
-    a query returns it — the arena replaces the per-line boxed hit records
-    the old eager index allocated up front.
+    a query returns it.  The disassembler fills the columns in the same
+    pass that writes the line texts.
 
     The int columns are {!Ivec.t}s: the payload lives off the OCaml heap,
     invisible to the GC, and a snapshot load can alias them to mmapped file
@@ -22,7 +22,7 @@ val cat_static_field : int
 val cat_none : int
 
 type t = {
-  line_idx : Ivec.t;  (** slot -> index into the dexfile line array *)
+  line_idx : Ivec.t;  (** slot -> index into the dexfile's lines *)
   stmt_idx : Ivec.t;  (** slot -> IR statement index; [-1] = none *)
   owner_id : Ivec.t;  (** slot -> index into [owners] / [owner_cls] *)
   cat : Ivec.t;       (** slot -> category code; {!cat_none} = unkeyed *)
@@ -34,8 +34,53 @@ type t = {
 (** Number of slots. *)
 val length : t -> int
 
-(** Category code and operand [Sym.id] of a disassembler key. *)
-val key_code : Disasm.key -> int * int
+(** The arena of no slots. *)
+val empty : t
 
-(** Build the arena in one pass over the disassembled lines. *)
-val of_lines : Disasm.line array -> t
+(** Growable columns and owner table, filled slot by slot (the
+    disassembler) or by whole ranges of an existing arena (the delta
+    splice). *)
+module Builder : sig
+  type arena := t
+  type t
+
+  (** [owners] (default none) pre-fills the owner table: ids
+      [0 .. n-1] keep these methods, and the ids in [seed] are found again
+      by {!owner} instead of getting a new id. *)
+  val create :
+    ?slots:int ->
+    ?owners:Ir.Jsig.meth array * string array ->
+    ?seed:int list ->
+    unit ->
+    t
+
+  (** Slots added so far: the index the next slot will get. *)
+  val length : t -> int
+
+  (** The owner id of method [meth] of class [cls], assigned in first-use
+      order. *)
+  val owner : t -> Ir.Jsig.meth -> string -> int
+
+  val add : t -> line:int -> stmt:int -> owner:int -> cat:int -> sym:int -> unit
+
+  (** Append slots [\[lo, hi)] of an arena, shifting their [line_idx] by
+      [line_shift]; owner ids are copied as they are. *)
+  val add_slots : t -> arena -> lo:int -> hi:int -> line_shift:int -> unit
+
+  (** The finished arena.  The builder must not be used afterwards. *)
+  val finish : t -> arena
+end
+
+(** One dexdump line decoded from a dexfile (see [Disasm.program_lines]):
+    a view for tools and tests, never built on the analysis path. *)
+type line = {
+  text : string;
+  cls : string;                 (** enclosing class *)
+  owner : Ir.Jsig.meth option;  (** enclosing method of an instruction line *)
+  stmt : int;                   (** IR statement index; [-1] = none *)
+  line_cat : int;               (** category code; {!cat_none} = unkeyed *)
+  line_sym : int;               (** [Sym.id] of the operand; [-1] = unkeyed *)
+}
+
+(** Rebuild the arena from decoded lines. *)
+val of_lines : line array -> t

@@ -1,10 +1,9 @@
 (* Per-class table over a disassembled dexfile: for each class, its
-   contiguous line range, its contiguous arena slot range, and two content
-   hashes — the canonical FNV-1a-64 over its rendered lines (computed while
-   the freshly-rendered texts are still in hand) and the structural
-   {!Ir.Irhash} over its IR.  The delta snapshot path diffs a new build
-   against an old snapshot on the IR hash (no rendering needed), then
-   splices lines, arena slots and postings per class using the ranges. *)
+   contiguous line range, its contiguous arena slot range and the
+   structural {!Ir.Irhash} over its IR.  The delta snapshot path diffs a
+   new build against an old snapshot on the IR hash (no rendering needed),
+   then splices text, arena slots and postings per class using the
+   ranges. *)
 
 type t = {
   names : string array;
@@ -12,7 +11,6 @@ type t = {
   line_hi : int array;
   slot_lo : int array;
   slot_hi : int array;
-  text_hash : int64 array;
   ir_hash : int64 array;
   index : (string, int) Hashtbl.t;
 }
@@ -24,19 +22,19 @@ let build_index names =
   Array.iteri (fun i n -> Hashtbl.replace index n i) names;
   index
 
-let v ~names ~line_lo ~line_hi ~slot_lo ~slot_hi ~text_hash ~ir_hash =
+let v ~names ~line_lo ~line_hi ~slot_lo ~slot_hi ~ir_hash =
   let n = Array.length names in
   if
     Array.length line_lo <> n || Array.length line_hi <> n
     || Array.length slot_lo <> n || Array.length slot_hi <> n
-    || Array.length text_hash <> n || Array.length ir_hash <> n
+    || Array.length ir_hash <> n
   then invalid_arg "Classmap.v: column length mismatch";
-  { names; line_lo; line_hi; slot_lo; slot_hi; text_hash; ir_hash;
+  { names; line_lo; line_hi; slot_lo; slot_hi; ir_hash;
     index = build_index names }
 
 let empty =
   { names = [||]; line_lo = [||]; line_hi = [||]; slot_lo = [||];
-    slot_hi = [||]; text_hash = [||]; ir_hash = [||];
+    slot_hi = [||]; ir_hash = [||];
     index = Hashtbl.create 1 }
 
 let find t name = Hashtbl.find_opt t.index name
@@ -44,62 +42,65 @@ let find t name = Hashtbl.find_opt t.index name
 let ir_hash_of t name =
   match find t name with None -> None | Some i -> Some t.ir_hash.(i)
 
-(* FNV-1a-64 over the class's rendered lines, each length-prefixed via
-   {!Ir.Irhash.string} so line boundaries can't alias. *)
-let text_hash_of_lines lines lo hi =
+(* FNV-1a-64 over the class's rendered lines, each length-prefixed exactly
+   as {!Ir.Irhash.string} folds a string, so line boundaries can't alias;
+   read straight from the text blob. *)
+let text_hash texts lo hi =
+  let blob : Bvec.t = Textstore.blob texts in
+  let offs = Textstore.offsets texts in
+  (* the fold written out here keeps [h] unboxed *)
+  let prime = Ir.Irhash.prime in
   let h = ref Ir.Irhash.offset_basis in
   for i = lo to hi - 1 do
-    h := Ir.Irhash.string !h (lines.(i) : Disasm.line).text
+    let a = Ivec.get offs i and b = Ivec.get offs (i + 1) in
+    for shift = 0 to 7 do
+      let byte = ((b - a) lsr (shift * 8)) land 0xff in
+      h := Int64.mul (Int64.logxor !h (Int64.of_int byte)) prime
+    done;
+    for p = a to b - 1 do
+      let byte = Char.code (Bigarray.Array1.unsafe_get blob p) in
+      h := Int64.mul (Int64.logxor !h (Int64.of_int byte)) prime
+    done
   done;
   !h
 
-let of_lines (lines : Disasm.line array) (arena : Arena.t) program =
-  let names = ref [] and n = ref 0 in
-  let line_lo = ref [] and line_hi = ref [] in
-  let slot_lo = ref [] and slot_hi = ref [] in
-  let text_h = ref [] and ir_h = ref [] in
-  let n_lines = Array.length lines in
+let build ~names ~starts (arena : Arena.t) program =
+  let n = Array.length names in
   let n_slots = Arena.length arena in
+  let slot_lo = Array.make n 0 and slot_hi = Array.make n 0 in
+  (* arena slots are in line order: advance to each class's run *)
   let slot = ref 0 in
-  let i = ref 0 in
-  while !i < n_lines do
-    match lines.(!i).Disasm.owner_cls with
-    | None -> incr i
-    | Some cls ->
-      let lo = !i in
-      while
-        !i < n_lines && lines.(!i).Disasm.owner_cls = Some cls
-      do
-        incr i
-      done;
-      let hi = !i in
-      (* arena slots are in line order: advance to this class's run *)
-      while !slot < n_slots && Ivec.get arena.Arena.line_idx !slot < lo do
-        incr slot
-      done;
-      let slo = !slot in
-      while !slot < n_slots && Ivec.get arena.Arena.line_idx !slot < hi do
-        incr slot
-      done;
-      let shi = !slot in
-      let ih =
-        match Ir.Program.find_class program cls with
-        | Some c -> Ir.Irhash.jclass c
-        | None -> 0L
-      in
-      names := cls :: !names;
-      line_lo := lo :: !line_lo;
-      line_hi := hi :: !line_hi;
-      slot_lo := slo :: !slot_lo;
-      slot_hi := shi :: !slot_hi;
-      text_h := text_hash_of_lines lines lo hi :: !text_h;
-      ir_h := ih :: !ir_h;
-      incr n
+  for i = 0 to n - 1 do
+    while !slot < n_slots && Ivec.get arena.line_idx !slot < starts.(i) do
+      incr slot
+    done;
+    slot_lo.(i) <- !slot;
+    while !slot < n_slots && Ivec.get arena.line_idx !slot < starts.(i + 1) do
+      incr slot
+    done;
+    slot_hi.(i) <- !slot
   done;
-  let arr l = Array.of_list (List.rev l) in
-  let names = arr !names in
-  { names;
-    line_lo = arr !line_lo; line_hi = arr !line_hi;
-    slot_lo = arr !slot_lo; slot_hi = arr !slot_hi;
-    text_hash = arr !text_h; ir_hash = arr !ir_h;
-    index = build_index names }
+  v ~names ~line_lo:(Array.sub starts 0 n) ~line_hi:(Array.sub starts 1 n)
+    ~slot_lo ~slot_hi
+    ~ir_hash:
+      (Array.map
+         (fun name ->
+            match Ir.Program.find_class program name with
+            | Some c -> Ir.Irhash.jclass c
+            | None -> 0L)
+         names)
+
+let of_lines (lines : Arena.line array) arena program =
+  let names = ref [] and starts = ref [] in
+  Array.iteri
+    (fun i (l : Arena.line) ->
+       match !names with
+       | n :: _ when String.equal n l.cls -> ()
+       | _ ->
+         names := l.cls :: !names;
+         starts := i :: !starts)
+    lines;
+  build
+    ~names:(Array.of_list (List.rev !names))
+    ~starts:(Array.of_list (List.rev (Array.length lines :: !starts)))
+    arena program

@@ -1,31 +1,22 @@
-(** A disassembled (and, if multidex, merged) dex file: the flat array of
-    plaintext lines that the bytecode search engine scans, each line tagged
-    with its enclosing method, plus the compact hit {!Arena} the engine's
-    per-category postings index into. *)
+(** A disassembled (and, if multidex, merged) dex file: the plaintext lines
+    the bytecode search engine scans, held as one {!Textstore} blob, plus
+    the compact hit {!Arena} the engine's per-category postings index into
+    (each instruction line's slot carries its enclosing method).  The cold,
+    snapshot and delta paths all produce this one representation. *)
 
-type t = {
-  lines : Disasm.line array;
+type t = private {
+  texts : Textstore.t;  (** every line's text, in line order *)
   arena : Arena.t;
   program : Ir.Program.t;
-  classmap : Classmap.t;
-      (** per-class line/slot ranges and content hashes; {!Classmap.empty}
-          for the warm-start placeholder *)
-  texts : Textstore.t option;
-      (** off-heap line texts of a snapshot-loaded dexfile; [None] when the
-          lines were disassembled in-process and carry their own strings.
-          When present, read texts through {!line_text} (or the store's
-          allocation-free predicates), never [lines.(i).text] directly. *)
+  classmap_cell : classmap_cell;  (** see {!classmap} *)
 }
+and classmap_cell
 
 val of_program : Ir.Program.t -> t
 
-(** A dexfile whose line texts live in an off-heap {!Textstore} (the
-    snapshot load path).  The line records must carry
-    {!Textstore.pending} as their text; {!line_text} materialises and
-    caches real strings on demand. *)
-val of_store :
-  ?classmap:Classmap.t ->
-  Disasm.line array -> Arena.t -> Ir.Program.t -> Textstore.t -> t
+(** A dexfile from parts (the snapshot load and delta paths).  [classmap]
+    (default {!Classmap.empty}) is its class map as it is. *)
+val v : ?classmap:Classmap.t -> Textstore.t -> Arena.t -> Ir.Program.t -> t
 
 (** A dexfile with no plaintext lines and an empty arena.  Warm starts use
     it as the generation-time placeholder when the real lines and arena are
@@ -35,11 +26,17 @@ val empty : Ir.Program.t -> t
 (** Emulate multidex: disassemble each classesN.dex partition separately and
     merge the plaintexts, as BackDroid's preprocessing step does. *)
 val of_partitions : Ir.Program.t -> string list list -> t
+
+(** Per-class line/slot ranges and content hashes; {!Classmap.empty} for
+    the warm-start placeholder and pre-delta snapshots.  A disassembled
+    dexfile builds it on the first call (a save, a delta or a freshness
+    check) and returns that one table to every later or concurrent caller,
+    from any domain or thread. *)
+val classmap : t -> Classmap.t
+
 val line_count : t -> int
 
-(** The text of line [i], materialising (and caching) it from the off-heap
-    store when the dexfile came from a snapshot.  Safe from multiple
-    domains: racing writers install equal strings. *)
+(** The text of line [i], as a fresh string. *)
 val line_text : t -> int -> string
 
 val to_string : t -> string

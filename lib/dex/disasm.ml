@@ -2,52 +2,18 @@
     dexdump-format plaintext instruction lines.  BackDroid's on-the-fly
     bytecode search is a text search over exactly this output.
 
-    Each instruction line additionally carries a pre-classified, interned
-    {!key}: the searchable operand (callee signature, class descriptor,
-    field signature or quoted string literal) hash-consed at disassembly
-    time.  The search engine's postings are built from these keys with no
-    text re-parsing, and because queries intern through the same
-    [Descriptor] memos, an indexed operand and the query that matches it are
-    the same [Sym.t]. *)
+    One pass over the app classes appends each line's bytes to a
+    {!Textstore.Builder} and, for each instruction line, one slot to an
+    {!Arena.Builder}: the line's statement index, enclosing method and —
+    for searchable instructions — the interned operand (callee signature,
+    class descriptor, field signature or quoted string literal) and its
+    category.  The search engine's postings are built from those columns
+    with no text re-parsing, and because queries intern through the same
+    [Descriptor] memos, an indexed operand and the query that matches it
+    are the same [Sym.t]. *)
 
-(** The searchable operand of an instruction line, interned at disassembly
-    time.  Mirrors the operand-extraction rules of the text search: the
-    classified operand is exactly the text after the line's last [", "]. *)
-type key =
-  | K_invoke of Sym.t        (** [invoke-*]: dexdump callee signature *)
-  | K_new_instance of Sym.t  (** [new-instance]: class descriptor *)
-  | K_const_class of Sym.t   (** [const-class]: class descriptor *)
-  | K_const_string of Sym.t  (** [const-string]: the quoted literal *)
-  | K_field of Sym.t         (** [iget]/[iput]: field signature *)
-  | K_static_field of Sym.t  (** [sget]/[sput]: field signature *)
-  | K_none                   (** header or unsearchable instruction *)
-
-type line = {
-  mutable text : string;
-      (** snapshot-loaded lines start as {!Textstore.pending} and are
-          materialised from the off-heap store on first access (via
-          [Dexfile.line_text]); disassembled lines carry real text *)
-  owner : Ir.Jsig.meth option;  (** enclosing method for instruction lines *)
-  owner_cls : string option;
-  stmt_idx : int option;        (** IR statement index for diagnostics *)
-  key : key;                    (** interned searchable operand *)
-  tokens : Sym.t array option;
-      (** distinct class-descriptor tokens of the line, sorted by symbol id;
-          [None] = not computed (headers, snapshot-loaded lines) *)
-}
-
-let header text owner_cls =
-  { text; owner = None; owner_cls; stmt_idx = None; key = K_none;
-    tokens = None }
-
-(* Keyed lines render class tokens only inside their operand (the text
-   before the final ", " is mnemonics and registers), so the memoized
-   operand tokenization covers them; unkeyed instruction lines (check-cast,
-   new-array, …) tokenize their own text once, here, at render time. *)
-let line_tokens ~text = function
-  | K_invoke s | K_new_instance s | K_const_class s | K_const_string s
-  | K_field s | K_static_field s -> Tokens.of_operand s
-  | K_none -> Tokens.of_string text
+module B = Textstore.Builder
+module A = Arena.Builder
 
 let binop_mnemonic = function
   | Ir.Expr.Add -> "add-int" | Sub -> "sub-int" | Mul -> "mul-int"
@@ -63,185 +29,237 @@ let invoke_mnemonic = function
   | Static -> "invoke-static"
   | Interface -> "invoke-interface"
 
-(** Per-method register naming: IR locals map to [vN] in first-use order. *)
-type regmap = { tbl : (string, int) Hashtbl.t; mutable next : int }
+(* Interned operand rendering: the interned string is spliced into the line
+   text, so the symbol and the text share memory. *)
+let class_op c = Sym.to_string (Descriptor.class_desc_sym c)
 
-let reg rm (l : Ir.Value.local) =
-  match Hashtbl.find_opt rm.tbl l.id with
-  | Some n -> Printf.sprintf "v%d" n
-  | None ->
-    let n = rm.next in
-    rm.next <- n + 1;
-    Hashtbl.replace rm.tbl l.id n;
-    Printf.sprintf "v%d" n
+let reg_names = Array.init 256 (fun i -> "v" ^ string_of_int i)
 
-let value_reg rm = function
-  | Ir.Value.Local l -> reg rm l
+(* Per-class render state.  IR locals map to [vN] in first-use order, per
+   method. *)
+type st = {
+  tb : B.t;
+  ab : A.t;
+  regs : (string, int) Hashtbl.t;
+  mutable next : int;
+  mutable owner : int;  (* owner id of the method being rendered *)
+  mutable stmt : int;   (* its statement being rendered *)
+}
+
+let reg st (l : Ir.Value.local) =
+  let n =
+    match Hashtbl.find st.regs l.id with
+    | n -> n
+    | exception Not_found ->
+      let n = st.next in
+      st.next <- n + 1;
+      Hashtbl.replace st.regs l.id n;
+      n
+  in
+  if n < Array.length reg_names then reg_names.(n) else "v" ^ string_of_int n
+
+let value_reg st = function
+  | Ir.Value.Local l -> reg st l
   | Ir.Value.Const c ->
     (* dexdump shows a register; constants are materialised by a preceding
        const instruction in real bytecode.  For inline constant operands we
        show the literal, which search never targets. *)
     (match c with
-     | Ir.Value.Int_c i -> Printf.sprintf "#int %d" i
+     | Ir.Value.Int_c i -> "#int " ^ string_of_int i
      | Null -> "#null"
-     | Long_c i -> Printf.sprintf "#long %Ld" i
+     | Long_c i -> "#long " ^ Int64.to_string i
      | Float_c f | Double_c f -> Printf.sprintf "#float %f" f
      | Str_c s -> Printf.sprintf "%S" s
-     | Class_c cl -> Sym.to_string (Descriptor.class_desc_sym cl))
+     | Class_c cl -> class_op cl)
 
-(* Interned operand renderings: the interned string is spliced into the line
-   text, so the symbol and the text share memory. *)
-let meth_op m = Sym.to_string (Descriptor.meth_desc_sym m)
-let class_op c = Sym.to_string (Descriptor.class_desc_sym c)
-let field_op f = Sym.to_string (Descriptor.field_desc_sym f)
+let str st s = B.add_string st.tb s
 
-let invoke_line rm (iv : Ir.Expr.invoke) =
-  let regs =
-    (match iv.base with Some b -> [ reg rm b ] | None -> [])
-    @ List.map (value_reg rm) iv.args
-  in
-  let callee = Descriptor.meth_desc_sym iv.callee in
-  ( Printf.sprintf "%s {%s}, %s" (invoke_mnemonic iv.kind)
-      (String.concat ", " regs)
-      (Sym.to_string callee),
-    K_invoke callee )
+let hex_digits = Array.init 16 (Printf.sprintf "%x")
 
-let stmt_lines rm idx (st : Ir.Stmt.t) =
-  let one text = [ (text, K_none) ] in
-  ignore idx;
-  match st with
+let add_hex4 st i =
+  if i >= 0 && i <= 0xffff then
+    for k = 3 downto 0 do
+      str st hex_digits.((i lsr (4 * k)) land 15)
+    done
+  else str st (Printf.sprintf "%04x" i)
+
+(* One instruction line, "    %04x: <mnemonic> <operands, comma-separated>",
+   and its arena slot; a keyed line's operand [sym] is its last operand. *)
+let line st ?(cat = Arena.cat_none) ?sym mn ops =
+  str st "    ";
+  add_hex4 st st.stmt;
+  str st ": ";
+  str st mn;
+  List.iteri (fun i o -> str st (if i = 0 then " " else ", "); str st o) ops;
+  A.add st.ab ~line:(B.lines st.tb) ~stmt:st.stmt ~owner:st.owner ~cat
+    ~sym:(match sym with Some s -> Sym.id s | None -> -1);
+  B.end_line st.tb
+
+let keyed st cat sym mn ops = line st ~cat ~sym mn (ops @ [ Sym.to_string sym ])
+
+let invoke st (iv : Ir.Expr.invoke) =
+  (* registers are numbered arguments first, then the base *)
+  let args = List.map (value_reg st) iv.args in
+  let regs = match iv.base with Some b -> reg st b :: args | None -> args in
+  keyed st Arena.cat_invoke (Descriptor.meth_desc_sym iv.callee)
+    (invoke_mnemonic iv.kind) [ "{" ^ String.concat ", " regs ^ "}" ]
+
+(* Operands are bound before any text is written, in the order that fixes
+   their register numbers: mostly an instruction's sources right to left,
+   then its destination. *)
+let stmt st (s : Ir.Stmt.t) =
+  match s with
   | Assign (l, Imm (Const (Str_c s))) ->
-    let lit = Sym.intern (Printf.sprintf "%S" s) in
-    [ ( Printf.sprintf "const-string %s, %s" (reg rm l) (Sym.to_string lit),
-        K_const_string lit ) ]
+    keyed st Arena.cat_const_string (Sym.intern (Printf.sprintf "%S" s))
+      "const-string" [ reg st l ]
   | Assign (l, Imm (Const (Class_c c))) ->
-    let cls = Descriptor.class_desc_sym c in
-    [ ( Printf.sprintf "const-class %s, %s" (reg rm l) (Sym.to_string cls),
-        K_const_class cls ) ]
+    keyed st Arena.cat_const_class (Descriptor.class_desc_sym c) "const-class"
+      [ reg st l ]
   | Assign (l, Imm (Const (Int_c i))) ->
-    one (Printf.sprintf "const/16 %s, #int %d" (reg rm l) i)
-  | Assign (l, Imm (Const Null)) ->
-    one (Printf.sprintf "const/4 %s, #int 0" (reg rm l))
+    line st "const/16" [ reg st l; "#int " ^ string_of_int i ]
+  | Assign (l, Imm (Const Null)) -> line st "const/4" [ reg st l; "#int 0" ]
   | Assign (l, Imm (Const (Long_c i))) ->
-    one (Printf.sprintf "const-wide %s, #long %Ld" (reg rm l) i)
+    line st "const-wide" [ reg st l; "#long " ^ Int64.to_string i ]
   | Assign (l, Imm (Const (Float_c f))) ->
-    one (Printf.sprintf "const %s, #float %f" (reg rm l) f)
+    line st "const" [ reg st l; Printf.sprintf "#float %f" f ]
   | Assign (l, Imm (Const (Double_c f))) ->
-    one (Printf.sprintf "const-wide %s, #double %f" (reg rm l) f)
+    line st "const-wide" [ reg st l; Printf.sprintf "#double %f" f ]
   | Assign (l, Imm (Local x)) ->
-    one (Printf.sprintf "move-object %s, %s" (reg rm l) (reg rm x))
+    let x = reg st x in
+    line st "move-object" [ reg st l; x ]
   | Assign (l, Binop (op, a, b)) ->
-    one (Printf.sprintf "%s %s, %s, %s" (binop_mnemonic op) (reg rm l)
-           (value_reg rm a) (value_reg rm b))
+    let b = value_reg st b in
+    let a = value_reg st a in
+    line st (binop_mnemonic op) [ reg st l; a; b ]
   | Assign (l, Cast (t, v)) ->
-    [ (Printf.sprintf "move-object %s, %s" (reg rm l) (value_reg rm v), K_none);
-      ( Printf.sprintf "check-cast %s, %s" (reg rm l) (Descriptor.type_desc t),
-        K_none ) ]
+    let l = reg st l in
+    line st "move-object" [ l; value_reg st v ];
+    line st "check-cast" [ l; Descriptor.type_desc t ]
   | Assign (l, Invoke iv) ->
-    [ invoke_line rm iv;
-      (Printf.sprintf "move-result-object %s" (reg rm l), K_none) ]
+    let l = reg st l in
+    invoke st iv;
+    line st "move-result-object" [ l ]
   | Assign (l, New c) ->
-    let cls = Descriptor.class_desc_sym c in
-    [ ( Printf.sprintf "new-instance %s, %s" (reg rm l) (Sym.to_string cls),
-        K_new_instance cls ) ]
+    keyed st Arena.cat_new_instance (Descriptor.class_desc_sym c)
+      "new-instance" [ reg st l ]
   | Assign (l, New_array (t, n)) ->
-    one (Printf.sprintf "new-array %s, %s, [%s" (reg rm l) (value_reg rm n)
-           (Descriptor.type_desc t))
+    let n = value_reg st n in
+    line st "new-array" [ reg st l; n; "[" ^ Descriptor.type_desc t ]
   | Assign (l, Array_get (a, i)) ->
-    one (Printf.sprintf "aget-object %s, %s, %s" (reg rm l) (reg rm a)
-           (value_reg rm i))
+    let i = value_reg st i in
+    let a = reg st a in
+    line st "aget-object" [ reg st l; a; i ]
   | Assign (l, Instance_get (o, f)) ->
-    let fld = Descriptor.field_desc_sym f in
-    [ ( Printf.sprintf "iget-object %s, %s, %s" (reg rm l) (reg rm o)
-          (Sym.to_string fld),
-        K_field fld ) ]
+    let o = reg st o in
+    keyed st Arena.cat_field (Descriptor.field_desc_sym f) "iget-object"
+      [ reg st l; o ]
   | Assign (l, Static_get f) ->
-    let fld = Descriptor.field_desc_sym f in
-    [ ( Printf.sprintf "sget-object %s, %s" (reg rm l) (Sym.to_string fld),
-        K_static_field fld ) ]
+    keyed st Arena.cat_static_field (Descriptor.field_desc_sym f)
+      "sget-object" [ reg st l ]
   | Assign (l, Phi ls) ->
-    one (Printf.sprintf ".phi %s = (%s)" (reg rm l)
-           (String.concat ", " (List.map (reg rm) ls)))
-  | Assign (l, Param i) -> one (Printf.sprintf ".param %s, p%d" (reg rm l) i)
-  | Assign (l, This) -> one (Printf.sprintf ".this %s" (reg rm l))
-  | Assign (l, Caught_exception) ->
-    one (Printf.sprintf "move-exception %s" (reg rm l))
+    let ls = List.map (reg st) ls in
+    line st ".phi" [ reg st l ^ " = (" ^ String.concat ", " ls ^ ")" ]
+  | Assign (l, Param i) -> line st ".param" [ reg st l; "p" ^ string_of_int i ]
+  | Assign (l, This) -> line st ".this" [ reg st l ]
+  | Assign (l, Caught_exception) -> line st "move-exception" [ reg st l ]
   | Assign (l, Length v) ->
-    one (Printf.sprintf "array-length %s, %s" (reg rm l) (value_reg rm v))
+    let v = value_reg st v in
+    line st "array-length" [ reg st l; v ]
   | Instance_put (o, f, v) ->
-    let fld = Descriptor.field_desc_sym f in
-    [ ( Printf.sprintf "iput-object %s, %s, %s" (value_reg rm v) (reg rm o)
-          (Sym.to_string fld),
-        K_field fld ) ]
+    let o = reg st o in
+    keyed st Arena.cat_field (Descriptor.field_desc_sym f) "iput-object"
+      [ value_reg st v; o ]
   | Static_put (f, v) ->
-    let fld = Descriptor.field_desc_sym f in
-    [ ( Printf.sprintf "sput-object %s, %s" (value_reg rm v)
-          (Sym.to_string fld),
-        K_static_field fld ) ]
+    keyed st Arena.cat_static_field (Descriptor.field_desc_sym f)
+      "sput-object" [ value_reg st v ]
   | Array_put (a, i, v) ->
-    one (Printf.sprintf "aput-object %s, %s, %s" (value_reg rm v) (reg rm a)
-           (value_reg rm i))
-  | Invoke iv -> [ invoke_line rm iv ]
-  | Return (Some v) -> one (Printf.sprintf "return-object %s" (value_reg rm v))
-  | Return None -> one "return-void"
+    let i = value_reg st i in
+    let a = reg st a in
+    line st "aput-object" [ value_reg st v; a; i ]
+  | Invoke iv -> invoke st iv
+  | Return (Some v) -> line st "return-object" [ value_reg st v ]
+  | Return None -> line st "return-void" []
   | If (op, a, b, target) ->
-    one (Printf.sprintf "%s %s, %s, :cond_%04x" (binop_mnemonic op)
-           (value_reg rm a) (value_reg rm b) target)
-  | Goto target -> one (Printf.sprintf "goto :goto_%04x" target)
-  | Throw v -> one (Printf.sprintf "throw %s" (value_reg rm v))
-  | Nop -> one "nop"
+    let b = value_reg st b in
+    let a = value_reg st a in
+    line st (binop_mnemonic op) [ a; b; Printf.sprintf ":cond_%04x" target ]
+  | Goto target -> line st "goto" [ Printf.sprintf ":goto_%04x" target ]
+  | Throw v -> line st "throw" [ value_reg st v ]
+  | Nop -> line st "nop" []
 
-let method_lines (cls : Ir.Jclass.t) (m : Ir.Jmethod.t) =
-  let msig = m.msig in
-  let head =
-    header
-      (Printf.sprintf "  method %s" (meth_op msig))
-      (Some cls.name)
+let header st parts =
+  List.iter (str st) parts;
+  B.end_line st.tb
+
+let render_class tb ab (c : Ir.Jclass.t) =
+  let st =
+    { tb; ab; regs = Hashtbl.create 16; next = 0; owner = -1; stmt = 0 }
   in
-  match m.body with
-  | None -> [ head ]
-  | Some body ->
-    let rm = { tbl = Hashtbl.create 16; next = 0 } in
-    let buf = ref [ head ] in
-    Array.iteri
-      (fun i st ->
-         List.iter
-           (fun (text, key) ->
-              buf :=
-                { text = Printf.sprintf "    %04x: %s" i text;
-                  owner = Some msig; owner_cls = Some cls.name;
-                  stmt_idx = Some i; key;
-                  tokens = Some (line_tokens ~text key) }
-                :: !buf)
-           (stmt_lines rm i st))
-      body;
-    List.rev !buf
+  let super = match c.super with Some s -> class_op s | None -> "-" in
+  header st [ "Class descriptor : '"; class_op c.name; "'" ];
+  header st [ "  Superclass : '"; super; "'" ];
+  List.iter (fun i -> header st [ "  Interface : '"; class_op i; "'" ])
+    c.interfaces;
+  List.iter
+    (fun f ->
+       header st [ "  field "; Sym.to_string (Descriptor.field_desc_sym f) ])
+    c.fields;
+  List.iter
+    (fun (m : Ir.Jmethod.t) ->
+       header st [ "  method "; Sym.to_string (Descriptor.meth_desc_sym m.msig) ];
+       Hashtbl.clear st.regs;
+       st.next <- 0;
+       match m.body with
+       | Some body when Array.length body > 0 ->
+         st.owner <- A.owner ab m.msig c.name;
+         Array.iteri (fun i s -> st.stmt <- i; stmt st s) body
+       | Some _ | None -> ())
+    c.methods
 
-let class_lines (c : Ir.Jclass.t) =
-  let head =
-    [ header (Printf.sprintf "Class descriptor : '%s'" (class_op c.name))
-        (Some c.name);
-      header
-        (Printf.sprintf "  Superclass : '%s'"
-           (match c.super with Some s -> class_op s | None -> "-"))
-        (Some c.name) ]
-    @ List.map
-        (fun i ->
-           header (Printf.sprintf "  Interface : '%s'" (class_op i))
-             (Some c.name))
-        c.interfaces
-    @ List.map
-        (fun f ->
-           header (Printf.sprintf "  field %s" (field_op f)) (Some c.name))
-        c.fields
-  in
-  head @ List.concat_map (method_lines c) c.methods
+let app_classes p =
+  List.sort
+    (fun (a : Ir.Jclass.t) b -> String.compare a.name b.name)
+    (Ir.Program.app_classes p)
 
-(** Disassemble all non-system classes — the app dex content. *)
+type rendered = {
+  texts : Textstore.t;
+  arena : Arena.t;
+  class_names : string array;
+  class_starts : int array;
+}
+
+let render classes =
+  let tb = B.create ~bytes:65536 ~lines:2048 ()
+  and ab = A.create ~slots:2048 () in
+  let names = ref [] and starts = ref [] in
+  List.iter
+    (fun (c : Ir.Jclass.t) ->
+       (* consecutive renderings of one class (a class listed twice in a
+          multidex partition) form one run *)
+       (match !names with
+        | n :: _ when String.equal n c.name -> ()
+        | _ ->
+          names := c.name :: !names;
+          starts := B.lines tb :: !starts);
+       render_class tb ab c)
+    classes;
+  let texts = B.finish tb in
+  { texts; arena = A.finish ab;
+    class_names = Array.of_list (List.rev !names);
+    class_starts = Array.of_list (List.rev (Textstore.count texts :: !starts)) }
+
 let program_lines p =
-  let classes =
-    Ir.Program.fold_classes p (fun c acc -> c :: acc) []
-    |> List.filter (fun (c : Ir.Jclass.t) -> not c.is_system)
-    |> List.sort (fun (a : Ir.Jclass.t) b -> String.compare a.name b.name)
+  let { texts; arena = a; class_names; class_starts } =
+    render (app_classes p)
   in
-  List.concat_map class_lines classes
+  let slot = ref 0 and ci = ref 0 in
+  List.init (Textstore.count texts) (fun i ->
+      while class_starts.(!ci + 1) <= i do incr ci done;
+      let s = !slot in
+      let keyed = s < Arena.length a && Ivec.get a.line_idx s = i in
+      if keyed then incr slot;
+      let col v d = if keyed then Ivec.get v s else d in
+      { Arena.text = Textstore.get texts i; cls = class_names.(!ci);
+        owner = (if keyed then Some a.owners.(Ivec.get a.owner_id s) else None);
+        stmt = col a.stmt_idx (-1); line_cat = col a.cat Arena.cat_none;
+        line_sym = col a.sym (-1) })

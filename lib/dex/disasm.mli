@@ -2,56 +2,41 @@
     dexdump-format plaintext instruction lines.  BackDroid's on-the-fly
     bytecode search is a text search over exactly this output.
 
-    Each instruction line carries a pre-classified, interned {!key}: the
-    searchable operand (callee signature, class descriptor, field signature
-    or quoted string literal), hash-consed at disassembly time.  Search
-    postings are built from these keys with no text re-parsing; queries
-    intern through the same [Descriptor] memos, so an indexed operand and
-    the query that must match it are the same [Sym.t]. *)
+    One pass writes each line's bytes into a {!Textstore.Builder} and each
+    instruction line's slot — statement index, enclosing method and, for
+    searchable instructions, the category and interned operand (callee
+    signature, class descriptor, field signature or quoted string
+    literal) — into an {!Arena.Builder}.  Search postings are built from
+    those columns with no text re-parsing; queries intern through the same
+    [Descriptor] memos, so an indexed operand and the query that must match
+    it are the same [Sym.t].
 
-(** The searchable operand of an instruction line.  Mirrors the
-    operand-extraction rule of the text search (the operand is the text
-    after the line's last [", "]), but is computed from the IR, so operands
-    containing [", "] — e.g. string literals — are classified correctly. *)
-type key =
-  | K_invoke of Sym.t        (** [invoke-*]: dexdump callee signature *)
-  | K_new_instance of Sym.t  (** [new-instance]: class descriptor *)
-  | K_const_class of Sym.t   (** [const-class]: class descriptor *)
-  | K_const_string of Sym.t  (** [const-string]: the quoted literal *)
-  | K_field of Sym.t         (** [iget]/[iput]: field signature *)
-  | K_static_field of Sym.t  (** [sget]/[sput]: field signature *)
-  | K_none                   (** header or unsearchable instruction *)
+    Registers are named [vN] in first-use order per method.  Within one
+    instruction the order is fixed per opcode — mostly sources right to
+    left, then the destination; a [move-result] destination comes before
+    the call's arguments. *)
 
-type line = {
-  mutable text : string;
-      (** snapshot-loaded lines start as {!Textstore.pending} and are
-          materialised lazily via [Dexfile.line_text]; disassembled lines
-          carry real text *)
-  owner : Ir.Jsig.meth option;
-  owner_cls : string option;
-  stmt_idx : int option;
-  key : key;
-  tokens : Sym.t array option;
-      (** distinct class-descriptor tokens of the line, sorted by symbol
-          id, attached at render time ({!Tokens}); [None] = not computed
-          (headers, snapshot-loaded lines — consumers re-tokenize
-          {!line.text} via {!Tokens.of_string}) *)
+(** Append one class's lines and slots. *)
+val render_class : Textstore.Builder.t -> Arena.Builder.t -> Ir.Jclass.t -> unit
+
+(** The app classes — every non-system class — sorted by name: the order
+    of a single-dex disassembly. *)
+val app_classes : Ir.Program.t -> Ir.Jclass.t list
+
+(** A finished disassembly.  Class [i] owns lines
+    [\[class_starts.(i), class_starts.(i+1))]; the last entry of
+    [class_starts] is the line count. *)
+type rendered = {
+  texts : Textstore.t;
+  arena : Arena.t;
+  class_names : string array;
+  class_starts : int array;
 }
 
-val header : string -> string option -> line
-val binop_mnemonic : Ir.Expr.binop -> string
-val invoke_mnemonic : Ir.Expr.invoke_kind -> string
+(** Disassemble classes in the given order. *)
+val render : Ir.Jclass.t list -> rendered
 
-(** Per-method register naming: IR locals map to [vN] in first-use order. *)
-type regmap = { tbl : (string, int) Hashtbl.t; mutable next : int; }
-val reg : regmap -> Ir.Value.local -> string
-val value_reg : regmap -> Ir.Value.t -> string
-
-(** Rendered instruction text paired with its interned searchable operand. *)
-val invoke_line : regmap -> Ir.Expr.invoke -> string * key
-val stmt_lines : regmap -> 'a -> Ir.Stmt.t -> (string * key) list
-val method_lines : Ir.Jclass.t -> Ir.Jmethod.t -> line list
-val class_lines : Ir.Jclass.t -> line list
-
-(** Disassemble all non-system classes — the app dex content. *)
-val program_lines : Ir.Program.t -> line list
+(** Disassemble all non-system classes — the app dex content — and decode
+    the lines (a view for tools and tests; the dexfile keeps only the text
+    blob and the arena). *)
+val program_lines : Ir.Program.t -> Arena.line list

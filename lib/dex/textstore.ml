@@ -1,9 +1,9 @@
 type t = { blob : Bvec.t; offs : Ivec.t }
 
-(* A unique, physically distinguishable marker.  Built at module init (not
-   a literal) so no other string in the program can share it; the lazy
-   materialization check is plain pointer equality. *)
-let pending = String.init 1 (fun _ -> '\x00')
+(* Direct element access: the [Bigarray] primitives compile inline at a
+   known element kind, where a call into [Bvec]/[Ivec] would not. *)
+let bget (b : Bvec.t) i = Bigarray.Array1.unsafe_get b i
+let iget (v : Ivec.t) i = Bigarray.Array1.unsafe_get v i
 
 let create ~blob ~offs =
   let n = Ivec.length offs - 1 in
@@ -11,64 +11,40 @@ let create ~blob ~offs =
   if Ivec.get offs 0 <> 0 then
     invalid_arg "Textstore.create: offsets must start at 0";
   for i = 0 to n - 1 do
-    if Ivec.get offs (i + 1) < Ivec.get offs i then
+    if iget offs (i + 1) < iget offs i then
       invalid_arg "Textstore.create: offsets not ascending"
   done;
   if Ivec.get offs n <> Bvec.length blob then
     invalid_arg "Textstore.create: offsets inconsistent with blob";
   { blob; offs }
 
+let empty = { blob = Bvec.create 0; offs = Ivec.make 1 0 }
+
 let blob t = t.blob
 let offsets t = t.offs
 let count t = Ivec.length t.offs - 1
-let start t i = Ivec.unsafe_get t.offs i
-let length_at t i = Ivec.unsafe_get t.offs (i + 1) - Ivec.unsafe_get t.offs i
+let start t i = iget t.offs i
+let length_at t i = iget t.offs (i + 1) - iget t.offs i
 
 let get t i =
   if i < 0 || i >= count t then invalid_arg "Textstore.get";
-  Bvec.sub_string t.blob (start t i) (length_at t i)
+  let lo = start t i in
+  let s = Bytes.create (length_at t i) in
+  for j = 0 to Bytes.length s - 1 do
+    Bytes.unsafe_set s j (bget t.blob (lo + j))
+  done;
+  Bytes.unsafe_to_string s
 
 let index_char t i c =
-  let lo = start t i in
-  let hi = lo + length_at t i in
-  let rec go p =
-    if p >= hi then -1
-    else if Bvec.unsafe_get t.blob p = c then p - lo
-    else go (p + 1)
-  in
-  go lo
+  let lo = start t i and hi = iget t.offs (i + 1) in
+  let p = ref lo in
+  while !p < hi && bget t.blob !p <> c do incr p done;
+  if !p < hi then !p - lo else -1
 
 let starts_with t i ~pos ~prefix =
   pos >= 0
   && pos + String.length prefix <= length_at t i
   && Bvec.equal_string t.blob ~pos:(start t i + pos) prefix
-
-(* Same first-char skip loop as the heap-string scan path, reading the
-   mapped blob directly — no String.sub, no line materialization. *)
-let contains t i ~pat =
-  let lp = String.length pat in
-  if lp = 0 then true
-  else begin
-    let lo = start t i in
-    let ls = length_at t i in
-    if lp > ls then false
-    else begin
-      let max_start = lo + ls - lp in
-      let c0 = String.unsafe_get pat 0 in
-      let blob = t.blob in
-      let rec eq_at p j =
-        j >= lp
-        || (Bvec.unsafe_get blob (p + j) = String.unsafe_get pat j
-            && eq_at p (j + 1))
-      in
-      let rec at p =
-        if p > max_start then false
-        else if Bvec.unsafe_get blob p = c0 && eq_at p 1 then true
-        else at (p + 1)
-      in
-      at lo
-    end
-  end
 
 (* Every line containing [pat], ascending, each line reported once — the
    residual scan's bulk path.  One Boyer–Moore–Horspool pass over the whole
@@ -95,21 +71,21 @@ let iter_matches t ~pat f =
       let last = String.unsafe_get pat (lp - 1) in
       let rec eq_prefix ms j =
         j >= lp - 1
-        || (Bvec.unsafe_get blob (ms + j) = String.unsafe_get pat j
+        || (bget blob (ms + j) = String.unsafe_get pat j
             && eq_prefix ms (j + 1))
       in
       let line = ref 0 in
       let p = ref (lp - 1) in
       while !p < n do
-        let c = Bvec.unsafe_get blob !p in
+        let c = bget blob !p in
         if c = last && eq_prefix (!p - (lp - 1)) 0 then begin
           let mstart = !p - (lp - 1) in
           while
-            !line < nlines - 1 && Ivec.unsafe_get t.offs (!line + 1) <= mstart
+            !line < nlines - 1 && iget t.offs (!line + 1) <= mstart
           do
             incr line
           done;
-          let line_end = Ivec.unsafe_get t.offs (!line + 1) in
+          let line_end = iget t.offs (!line + 1) in
           if mstart + lp <= line_end then begin
             f !line;
             (* the rest of this line is already reported: resume where a
@@ -124,3 +100,78 @@ let iter_matches t ~pat f =
   end
 
 let prefault t = Bvec.prefault t.blob lxor Ivec.prefault t.offs
+
+(* A text blob under construction: bytes and line offsets in growable
+   off-heap vectors, doubled on demand.  [finish] hands out prefixes of the
+   final vectors (a [Bigarray] sub shares the buffer), so a built store
+   costs no copy. *)
+module Builder = struct
+  type store = t
+
+  type t = {
+    mutable buf : Bvec.t;
+    mutable len : int;     (* bytes written *)
+    mutable ends : Ivec.t; (* [ends.(i)]: start of line [i]; [ends.(0) = 0] *)
+    mutable lines : int;   (* lines closed *)
+  }
+
+  let create ?(bytes = 4096) ?(lines = 128) () =
+    let ends = Ivec.create (max 2 (lines + 1)) in
+    Ivec.set ends 0 0;
+    { buf = Bvec.create (max 16 bytes); len = 0; ends; lines = 0 }
+
+  let lines b = b.lines
+
+  (* [v], or its first [keep] elements in a vector of at least [need] *)
+  let grow create v ~keep ~need =
+    let cap = Bigarray.Array1.dim v in
+    if need <= cap then v
+    else begin
+      let nv = create (max need (2 * cap)) in
+      Bigarray.Array1.blit
+        (Bigarray.Array1.sub v 0 keep) (Bigarray.Array1.sub nv 0 keep);
+      nv
+    end
+
+  let reserve b n = b.buf <- grow Bvec.create b.buf ~keep:b.len ~need:(b.len + n)
+
+  let reserve_lines b n =
+    b.ends <- grow Ivec.create b.ends ~keep:(b.lines + 1) ~need:(b.lines + n + 1)
+
+  let add_string b s =
+    let n = String.length s in
+    reserve b n;
+    let buf = b.buf and base = b.len in
+    for i = 0 to n - 1 do
+      Bigarray.Array1.unsafe_set buf (base + i) (String.unsafe_get s i)
+    done;
+    b.len <- base + n
+
+  let end_line b =
+    reserve_lines b 1;
+    b.lines <- b.lines + 1;
+    Ivec.set b.ends b.lines b.len
+
+  let add_lines b (s : store) ~lo ~hi =
+    let n = hi - lo in
+    if n > 0 then begin
+      let o_lo = iget s.offs lo in
+      let len = iget s.offs hi - o_lo in
+      reserve b len;
+      reserve_lines b n;
+      Bigarray.Array1.blit
+        (Bigarray.Array1.sub s.blob o_lo len)
+        (Bigarray.Array1.sub b.buf b.len len);
+      let shift = b.len - o_lo in
+      let ends = b.ends and base = b.lines in
+      for i = 1 to n do
+        Bigarray.Array1.unsafe_set ends (base + i) (iget s.offs (lo + i) + shift)
+      done;
+      b.len <- b.len + len;
+      b.lines <- b.lines + n
+    end
+
+  let finish b : store =
+    { blob = Bigarray.Array1.sub b.buf 0 b.len;
+      offs = Bigarray.Array1.sub b.ends 0 (b.lines + 1) }
+end

@@ -1,25 +1,21 @@
-(** Off-heap line texts: the snapshot-loaded dexfile's plaintext lines as
-    (offset, length) views into the mmapped text-blob section, instead of
-    one heap string per line materialised at load time.
+(** Off-heap line texts: a dexfile's plaintext lines as (offset, length)
+    views into one byte blob.  The disassembler writes the blob through
+    {!Builder}; a snapshot load maps the same layout straight from the
+    file's text-blob section.
 
-    The residual text scan (free-form [Raw] queries against a snapshot
-    engine) matches directly against the blob with the allocation-free
-    predicates below; a line's string is materialised only when a hit
-    actually returns it, and is then cached on the line record (see
-    [Dexfile.line_text]), so repeated hits pay the [String] allocation
-    once. *)
+    The text scan matches directly against the blob with the
+    allocation-free predicates below; a line's string is materialised only
+    when a hit actually returns it. *)
 
 type t
-
-(** The placeholder installed in [Disasm.line.text] for lines whose text
-    still lives only in the store.  A unique string instance — test with
-    [==], never [=]. *)
-val pending : string
 
 (** [create ~blob ~offs] views line [i] as bytes
     [offs.(i) .. offs.(i+1) - 1] of [blob].  Raises [Invalid_argument] if
     the offsets are not ascending from 0 to [Bvec.length blob]. *)
 val create : blob:Bvec.t -> offs:Ivec.t -> t
+
+(** The store of no lines. *)
+val empty : t
 
 (** Number of lines. *)
 val count : t -> int
@@ -43,9 +39,6 @@ val index_char : t -> int -> char -> int
 (** Whether line [i] carries [prefix] at byte [pos].  Allocation-free. *)
 val starts_with : t -> int -> pos:int -> prefix:string -> bool
 
-(** Whether line [i] contains [pat] as a substring.  Allocation-free. *)
-val contains : t -> int -> pat:string -> bool
-
 (** [iter_matches t ~pat f] calls [f i] for every line [i] containing
     [pat], ascending, each such line once.  One Boyer–Moore–Horspool pass
     over the whole blob (not a loop per line), so cost scales with
@@ -56,3 +49,30 @@ val iter_matches : t -> pat:string -> (int -> unit) -> unit
 
 (** Touch every page of the blob and offsets (see {!Bvec.prefault}). *)
 val prefault : t -> int
+
+(** A blob under construction: bytes and line offsets grow in off-heap
+    vectors, and {!finish} hands them out without a copy. *)
+module Builder : sig
+  type store := t
+  type t
+
+  (** An empty builder, with capacity hints. *)
+  val create : ?bytes:int -> ?lines:int -> unit -> t
+
+  (** Lines closed so far: the index the next line will get. *)
+  val lines : t -> int
+
+  (** Append to the open line. *)
+  val add_string : t -> string -> unit
+
+  (** Close the open line. *)
+  val end_line : t -> unit
+
+  (** Append lines [\[lo, hi)] of [store] wholesale: one byte blit plus an
+      offset rebase (the delta path's splice of an unchanged class).  The
+      open line must be empty. *)
+  val add_lines : t -> store -> lo:int -> hi:int -> unit
+
+  (** The finished store.  The builder must not be used afterwards. *)
+  val finish : t -> store
+end

@@ -28,9 +28,13 @@ let of_string s =
   | [] -> empty
   | toks -> Array.of_list toks
 
+let of_line store i =
+  if Textstore.index_char store i ';' < 0 then empty
+  else of_string (Textstore.get store i)
+
 (* Memo: operand sym id -> token array, growable, published under a mutex.
-   Reads also lock — operand tokenization happens at disassembly and on the
-   first build over snapshot-loaded operands, never in a query hot loop. *)
+   Reads also lock — operand tokenization happens in the class-tokens
+   postings build, never in a query hot loop. *)
 let lock = Mutex.create ()
 let memo : Sym.t array option array ref = ref (Array.make 1024 None)
 

@@ -1,8 +1,5 @@
 (** Class-descriptor token extraction: the [Lcom/foo/Bar;] occurrences of a
-    dexdump line.  The disassembler attaches each instruction line's token
-    set at render time ({!Disasm.line.tokens}), so the search engine's
-    class-tokens postings build is a pure pass over precomputed symbol
-    arrays — no line is ever re-tokenized per build. *)
+    dexdump line, which the search engine's class-tokens postings index. *)
 
 (** Apply [f] to every token occurrence of [s] in order, interning each. *)
 val iter : string -> (Sym.t -> unit) -> unit
@@ -10,6 +7,10 @@ val iter : string -> (Sym.t -> unit) -> unit
 (** Distinct tokens of [s], sorted by symbol id.  Token-free strings share
     one empty array. *)
 val of_string : string -> Sym.t array
+
+(** {!of_string} of line [i] of a text store; a line without [';'] (most
+    of them) yields the shared empty array without allocating. *)
+val of_line : Textstore.t -> int -> Sym.t array
 
 (** Memoized {!of_string} of an interned operand: each distinct operand
     symbol tokenizes once per process.  Keyed instruction lines render

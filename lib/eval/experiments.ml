@@ -77,7 +77,7 @@ let run_corpus ?(progress = fun _ -> ()) opts =
      away: it is delta-patched against the new program — only changed
      classes are re-disassembled and re-indexed — and re-saved. *)
   let snapshot_fresh engine program =
-    let cm = (Bytesearch.Engine.dexfile engine).Dex.Dexfile.classmap in
+    let cm = Dex.Dexfile.classmap (Bytesearch.Engine.dexfile engine) in
     Dex.Classmap.length cm > 0
     &&
     let n = ref 0 in

@@ -23,5 +23,10 @@ val jclass : Jclass.t -> int64
 
 val offset_basis : int64
 
-(** [string h s] folds [s] (length-prefixed) into [h]. *)
+(** The FNV-1a-64 prime: folding byte [b] into [h] is
+    [(h lxor b) * prime]. *)
+val prime : int64
+
+(** [string h s] folds [s] into [h]: first the eight bytes of its length,
+    low byte first, then each char. *)
 val string : int64 -> string -> int64

@@ -5,8 +5,8 @@
     Indexed mode answers queries from per-category postings: for each of the
     seven searchable categories, a packed CSR triple — ascending operand
     symbol ids, offsets, and slot runs into the dexfile's hit {!Dex.Arena},
-    all off-heap {!Ivec.t}s.  Postings are built from the interned operand
-    keys the disassembler attached to each line — no text re-parsing — and
+    all off-heap {!Ivec.t}s.  Postings are built from the arena's interned
+    operand columns, which the disassembler fills — no text re-parsing — and
     hit records are materialised only for slots a query actually returns.
     The packed layout is deterministic (keys sorted by symbol id, slots in
     arena order), so a sharded build, a sequential build and a snapshot load
@@ -99,6 +99,18 @@ module Packed = struct
         f (Ivec.unsafe_get slots i)
       done
     | Coded b -> Postcodec.iter b ~pos:(Ivec.get t.offsets k) f
+
+  (** Write key index [k]'s slots into [dst] from index [at], ascending;
+      returns their count.  [dst] must have room for them. *)
+  let blit_key t k (dst : Ivec.t) at =
+    match t.body with
+    | Flat slots ->
+      let lo = Ivec.get t.offsets k and hi = Ivec.get t.offsets (k + 1) in
+      for i = lo to hi - 1 do
+        Bigarray.Array1.set dst (at + i - lo) (Ivec.unsafe_get slots i)
+      done;
+      hi - lo
+    | Coded b -> Postcodec.decode_into b ~pos:(Ivec.get t.offsets k) dst at
 
   let n_slots t =
     match t.body with
@@ -196,43 +208,45 @@ let cat_member c =
   else if c = cat_static_field_ops then fun k -> k = Dex.Arena.cat_static_field
   else fun k -> k = c
 
-(* The class-tokens passes read each line's render-time token array; lines
-   without one (snapshot-loaded dexfiles) re-tokenize their text on first
-   touch, cached per slot so round 2 reuses round 1's work. *)
-let slot_tokens (dex : Dex.Dexfile.t) slot fallback =
-  let li = Ivec.unsafe_get dex.arena.Dex.Arena.line_idx slot in
-  match dex.lines.(li).Dex.Disasm.tokens with
-  | Some toks -> toks
-  | None ->
-    (match Hashtbl.find_opt fallback slot with
-     | Some toks -> toks
-     | None ->
-       let toks = Dex.Tokens.of_string (Dex.Dexfile.line_text dex li) in
-       Hashtbl.add fallback slot toks;
-       toks)
+(* A slot's class tokens: a keyed line renders its tokens only inside its
+   operand (the text before the final ", " is mnemonics and registers), so
+   the memoized operand tokenization covers it; an unkeyed line (check-cast,
+   new-array, ...) tokenizes its own text.  Round 1 caches them per slot
+   for round 2. *)
+let slot_tokens (dex : Dex.Dexfile.t) slot =
+  let a = dex.arena in
+  let sym = Ivec.unsafe_get a.Dex.Arena.sym slot in
+  if sym >= 0 then Dex.Tokens.of_operand (Sym.unsafe_of_id sym)
+  else Dex.Tokens.of_line dex.texts (Ivec.unsafe_get a.Dex.Arena.line_idx slot)
+
+let iter_slot_postings (dex : Dex.Dexfile.t) slot f =
+  let k = Ivec.get dex.arena.Dex.Arena.cat slot in
+  if k <> Dex.Arena.cat_none then
+    for c = 0 to cat_class_tokens - 1 do
+      if cat_member c k then f c (Ivec.get dex.arena.Dex.Arena.sym slot)
+    done;
+  Array.iter (fun tok -> f cat_class_tokens (Sym.id tok)) (slot_tokens dex slot)
 
 let shard_count (dex : Dex.Dexfile.t) c ~lo ~hi =
   let a : Dex.Arena.t = dex.arena in
   let cnt = counts_create () in
-  let fallback : (int, Sym.t array) Hashtbl.t = Hashtbl.create 8 in
-  if c = cat_class_tokens then
-    for slot = lo to hi - 1 do
-      Array.iter
-        (fun tok -> counts_bump cnt (Sym.id tok))
-        (slot_tokens dex slot fallback)
-    done
+  if c = cat_class_tokens then begin
+    let toks = Array.init (hi - lo) (fun j -> slot_tokens dex (lo + j)) in
+    Array.iter (Array.iter (fun tok -> counts_bump cnt (Sym.id tok))) toks;
+    (cnt, toks)
+  end
   else begin
     let member = cat_member c in
     for slot = lo to hi - 1 do
       if member (Ivec.unsafe_get a.cat slot) then
         counts_bump cnt (Ivec.unsafe_get a.sym slot)
-    done
-  end;
-  (cnt, fallback)
+    done;
+    (cnt, [||])
+  end
 
 (* [cursor.(k)] is this shard's next write position for key [k] (absolute
    into [slots]); fills advance it monotonically. *)
-let shard_fill (dex : Dex.Dexfile.t) c ~lo ~hi ~cursor ~slots fallback =
+let shard_fill (dex : Dex.Dexfile.t) c ~lo ~hi ~cursor ~slots toks =
   let a : Dex.Arena.t = dex.arena in
   let put k slot =
     let p = Array.unsafe_get cursor k in
@@ -241,9 +255,7 @@ let shard_fill (dex : Dex.Dexfile.t) c ~lo ~hi ~cursor ~slots fallback =
   in
   if c = cat_class_tokens then
     for slot = lo to hi - 1 do
-      Array.iter
-        (fun tok -> put (Sym.id tok) slot)
-        (slot_tokens dex slot fallback)
+      Array.iter (fun tok -> put (Sym.id tok) slot) toks.(slot - lo)
     done
   else begin
     let member = cat_member c in
@@ -314,18 +326,18 @@ let build_postings ?pool dex c =
   let fills =
     Array.mapi
       (fun i (lo, hi) ->
-         let cnt, fallback = counted.(i) in
+         let cnt, toks = counted.(i) in
          let cursor = Array.copy running in
          for k = 0 to cnt.maxk do
            running.(k) <- running.(k) + Array.unsafe_get cnt.c k
          done;
-         (lo, hi, cursor, fallback))
+         (lo, hi, cursor, toks))
       ranges
   in
   ignore
     (map
-       (fun (lo, hi, cursor, fallback) ->
-          shard_fill dex c ~lo ~hi ~cursor ~slots fallback)
+       (fun (lo, hi, cursor, toks) ->
+          shard_fill dex c ~lo ~hi ~cursor ~slots toks)
        fills);
   { Packed.keys = keys_v; offsets; body = Packed.Flat slots }
 
@@ -422,47 +434,23 @@ let ruleset_stamp t = Atomic.get t.ruleset
 (* ------------------------------------------------------------------ *)
 (* Scan mode                                                           *)
 
-(* Naive-but-tight substring check; patterns are short and lines are short,
-   so this outperforms building a full-text index for our corpus sizes.  The
-   candidate comparison is a char loop — no String.sub allocation in the
-   scan hot path. *)
-let contains ~pat s =
-  let lp = String.length pat and ls = String.length s in
-  if lp = 0 then true
-  else if lp > ls then false
-  else begin
-    let max_start = ls - lp in
-    let c0 = pat.[0] in
-    let rec eq_at i j =
-      j >= lp
-      || (String.unsafe_get s (i + j) = String.unsafe_get pat j
-          && eq_at i (j + 1))
-    in
-    let rec at i =
-      if i > max_start then false
-      else if s.[i] = c0 && eq_at i 1 then true
-      else at (i + 1)
-    in
-    at 0
-  end
+(* Hits are materialised per returned slot — the postings themselves hold
+   only ints. *)
+let hit_of_slot t slot =
+  let a : Dex.Arena.t = t.dex.Dex.Dexfile.arena in
+  let line_no = Ivec.get a.line_idx slot in
+  let oid = Ivec.get a.owner_id slot in
+  { line_no;
+    text = Dex.Dexfile.line_text t.dex line_no;
+    owner = a.owners.(oid);
+    owner_cls = a.owner_cls.(oid);
+    stmt_idx =
+      (let s = Ivec.get a.stmt_idx slot in if s < 0 then None else Some s) }
 
-let starts_with_opcode ~prefixes text =
-  (* instruction lines look like "    0004: invoke-virtual {...}, ..."; the
-     opcode prefix check runs at an offset, which stdlib
-     [String.starts_with] cannot do, hence the one explicit [String.sub] *)
-  match String.index_opt text ':' with
-  | None -> false
-  | Some colon ->
-    let rest_start = colon + 2 in
-    List.exists
-      (fun p ->
-         rest_start + String.length p <= String.length text
-         && String.sub text rest_start (String.length p) = p)
-      prefixes
-
-(* Store-side opcode prefix check: mirrors [starts_with_opcode] but reads
-   the mapped blob with no line materialization at all. *)
-let store_starts_with_opcode store i ~prefixes =
+(* Opcode prefix check: instruction lines look like
+   "    0004: invoke-virtual {...}, ...", so the prefix sits after the
+   address tag; read straight from the blob. *)
+let starts_with_opcode store i ~prefixes =
   match Dex.Textstore.index_char store i ':' with
   | -1 -> false
   | colon ->
@@ -471,39 +459,28 @@ let store_starts_with_opcode store i ~prefixes =
       (fun p -> Dex.Textstore.starts_with store i ~pos:rest_start ~prefix:p)
       prefixes
 
+(* One skip-search pass over the text blob finds the candidate lines
+   (allocating nothing); instruction lines among them — those with an arena
+   slot, found by a cursor since both ascend — pay the opcode-prefix check
+   and hit materialization. *)
 let scan t ~prefixes ~pat ~filter =
   let acc = ref [] in
-  let emit i (line : Dex.Disasm.line) owner =
-    let h =
-      { line_no = i; text = Dex.Dexfile.line_text t.dex i; owner;
-        owner_cls = Option.value ~default:"" line.owner_cls;
-        stmt_idx = line.stmt_idx }
-    in
-    if filter h then acc := h :: !acc
-  in
-  (match t.dex.Dex.Dexfile.texts with
-   | Some store ->
-     (* snapshot-loaded dexfile: one skip-search pass over the mapped blob
-        finds the candidate lines (allocating nothing), then the rare
-        matches pay the opcode-prefix check and hit materialization *)
-     let lines = t.dex.Dex.Dexfile.lines in
-     Dex.Textstore.iter_matches store ~pat (fun i ->
-         let line = lines.(i) in
-         match line.Dex.Disasm.owner with
-         | None -> ()
-         | Some owner ->
-           if prefixes = [] || store_starts_with_opcode store i ~prefixes
-           then emit i line owner)
-   | None ->
-     Array.iteri
-       (fun i (line : Dex.Disasm.line) ->
-          match line.owner with
-          | None -> ()
-          | Some owner ->
-            if (prefixes = [] || starts_with_opcode ~prefixes line.text)
-               && contains ~pat line.text
-            then emit i line owner)
-       t.dex.Dex.Dexfile.lines);
+  let store = t.dex.Dex.Dexfile.texts in
+  let line_idx = t.dex.Dex.Dexfile.arena.Dex.Arena.line_idx in
+  let n_slots = Ivec.length line_idx in
+  let slot = ref 0 in
+  Dex.Textstore.iter_matches store ~pat (fun i ->
+      while !slot < n_slots && Ivec.unsafe_get line_idx !slot < i do
+        incr slot
+      done;
+      if
+        !slot < n_slots
+        && Ivec.unsafe_get line_idx !slot = i
+        && (prefixes = [] || starts_with_opcode store i ~prefixes)
+      then begin
+        let h = hit_of_slot t !slot in
+        if filter h then acc := h :: !acc
+      end);
   List.rev !acc
 
 (* Operand patterns are the symbol's text behind a ", " separator.  The
@@ -554,19 +531,6 @@ let query_category : Query.t -> int option = function
   | Static_field_access _ -> Some cat_static_field_ops
   | Class_use _ -> Some cat_class_tokens
   | Raw _ -> None  (* free-form searches always scan *)
-
-(* Hits are materialised per returned slot — the postings themselves hold
-   only ints. *)
-let hit_of_slot t slot =
-  let a : Dex.Arena.t = t.dex.Dex.Dexfile.arena in
-  let line_no = Ivec.get a.line_idx slot in
-  let oid = Ivec.get a.owner_id slot in
-  { line_no;
-    text = Dex.Dexfile.line_text t.dex line_no;
-    owner = a.owners.(oid);
-    owner_cls = a.owner_cls.(oid);
-    stmt_idx =
-      (let s = Ivec.get a.stmt_idx slot in if s < 0 then None else Some s) }
 
 let hits_of_sym t (p : postings) sym =
   match Ivec.find_sorted p.Packed.keys (Sym.id sym) with

@@ -50,6 +50,10 @@ module Packed : sig
   (** Slot count of key index [k] — O(1) for both bodies. *)
   val count : t -> int -> int
 
+  (** Write key index [k]'s slots into [dst] from index [at], ascending;
+      returns their count.  [dst] must have room for them. *)
+  val blit_key : t -> int -> Ivec.t -> int -> int
+
   (** Apply [f] to each slot of key index [k], ascending. *)
   val iter_key : t -> int -> (int -> unit) -> unit
 
@@ -85,12 +89,18 @@ val export_packed : t -> Packed.t array
     ["snapshot"]; {!Store.Snapshot}'s delta path passes ["delta"]). *)
 val create_packed : ?mode:string -> Dex.Dexfile.t -> Packed.t array -> t
 
+(** [iter_slot_postings dex slot f] calls [f c key] for every category [c]
+    (an index into {!export_packed}) and key (a [Sym.id]) under which arena
+    slot [slot] is posted — the rule every postings build follows, exposed
+    for the delta path's patch of re-rendered classes. *)
+val iter_slot_postings : Dex.Dexfile.t -> int -> (int -> int -> unit) -> unit
+
 (** The program the engine's dexfile was disassembled from — the "program
     analysis space" paired with this "bytecode search space". *)
 val program : t -> Ir.Program.t
 
 (** The dexfile the engine searches (the snapshot save path serializes its
-    lines and arena alongside the packed postings). *)
+    text blob and arena alongside the packed postings). *)
 val dexfile : t -> Dex.Dexfile.t
 
 (** Stamp the engine with the content hash of the rule set about to drive

@@ -151,7 +151,7 @@ let generate ?build_dex spec =
   | Result.Error m -> raise (Reject m)
 
 let snapshot_fresh engine program =
-  let cm = (Bytesearch.Engine.dexfile engine).Dex.Dexfile.classmap in
+  let cm = Dex.Dexfile.classmap (Bytesearch.Engine.dexfile engine) in
   Dex.Classmap.length cm > 0
   &&
   let n = ref 0 in

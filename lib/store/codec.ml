@@ -142,6 +142,9 @@ type reader = {
       (* whole file mapped as native 64-bit words: checksum + blob copies *)
   chars : char_map;
       (* same mapping, byte granularity: header fields + unaligned tails *)
+  ints : Ivec.t;
+      (* same mapping as OCaml ints: every int section is a sub of it, so
+         a load maps the file three times, not once per section *)
   dir : (int, section) Hashtbl.t;
 }
 
@@ -189,18 +192,18 @@ let read_file ~path =
     let size = (Unix.fstat fd).Unix.st_size in
     if size < header_len then fail Truncated
     else begin
+      let map kind dim =
+        Bigarray.array1_of_genarray
+          (Unix.map_file fd kind Bigarray.c_layout false [| dim |])
+      in
       match
-        ( Bigarray.array1_of_genarray
-            (Unix.map_file fd Bigarray.int64 Bigarray.c_layout false
-               [| size / 8 |]),
-          Bigarray.array1_of_genarray
-            (Unix.map_file fd Bigarray.char Bigarray.c_layout false
-               [| size |]) )
+        ( map Bigarray.int64 (size / 8), map Bigarray.char size,
+          map Bigarray.int (size / 8) )
       with
       | exception Unix.Unix_error (e, _, _) ->
         fail
           (Corrupt (Printf.sprintf "mmap failed: %s" (Unix.error_message e)))
-      | words, chars ->
+      | words, chars, ints ->
         let magic_ok =
           let ok = ref true in
           for i = 0 to 7 do
@@ -248,7 +251,7 @@ let read_file ~path =
               | Some e -> fail e
               | None ->
                 Ok { fd; r_size = size; r_version = version; words; chars;
-                     dir }
+                     ints; dir }
             end
           end
     end
@@ -268,12 +271,7 @@ let map_ivec r ~id =
   if s.s_len land 7 <> 0 then
     Error (Corrupt (Printf.sprintf "section %d is not an int vector" id))
   else
-    let n = s.s_len / 8 in
-    let g =
-      Unix.map_file r.fd ~pos:(Int64.of_int s.s_off) Bigarray.int
-        Bigarray.c_layout false [| n |]
-    in
-    Ok (Bigarray.array1_of_genarray g)
+    Ok (Bigarray.Array1.sub r.ints (s.s_off / 8) (s.s_len / 8))
 
 (* No-copy byte view of a section: a sub of the file's private char mapping.
    Like [map_ivec] views, it stays valid after [close] and writes are

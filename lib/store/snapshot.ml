@@ -5,6 +5,12 @@ module Classmap = Dex.Classmap
 
 let ( let* ) = Result.bind
 
+(* Element access through the [Bigarray] primitives, which compile inline
+   at a known element kind where a call into [Ivec] would not: the load and
+   delta loops run once per slot, line or posting. *)
+let iget (v : Ivec.t) i = Bigarray.Array1.get v i
+let iset (v : Ivec.t) i x = Bigarray.Array1.set v i x
+
 (* Section ids.  Per-line owner/stmt sections are deliberately absent: the
    arena already records owner and statement index for every instruction
    line, and header lines have neither, so load reconstructs line metadata
@@ -70,71 +76,47 @@ let default_path ~dir ~app_id =
   Filename.concat dir
     (Printf.sprintf "%s.v%d.bdix" sane Codec.format_version)
 
-(* -- String arrays as (offsets, blob) section pairs ------------------- *)
+(* -- String tables as (offsets, blob) section pairs -------------------- *)
 
-let add_strings w ~off_id ~blob_id (a : string array) =
-  let n = Array.length a in
-  let offs = Array.make (n + 1) 0 in
-  let total = ref 0 in
-  for i = 0 to n - 1 do
-    offs.(i) <- !total;
-    total := !total + String.length a.(i)
-  done;
-  offs.(n) <- !total;
-  let buf = Buffer.create (max 16 !total) in
-  Array.iter (Buffer.add_string buf) a;
-  Codec.add_ints w ~id:off_id offs;
-  Codec.add_blob w ~id:blob_id (Buffer.contents buf)
+(* A {!Dex.Textstore} is exactly such a pair: the line texts are one, and
+   every other string table goes through one. *)
+let add_store w ~off_id ~blob_id store =
+  Codec.add_ivec w ~id:off_id (Dex.Textstore.offsets store);
+  Codec.add_blob w ~id:blob_id (Bvec.to_string (Dex.Textstore.blob store))
 
-let load_strings r ~off_id ~blob_id ~count ~what =
-  let* offs = Codec.map_ivec r ~id:off_id in
-  let* blob = Codec.read_blob r ~id:blob_id in
-  if Ivec.length offs <> count + 1 then
-    Error (Codec.Corrupt (Printf.sprintf "%s: offsets length mismatch" what))
-  else if count >= 0 && Ivec.get offs 0 <> 0 then
-    Error (Codec.Corrupt (Printf.sprintf "%s: offsets do not start at 0" what))
-  else begin
-    let ok = ref true in
-    for i = 0 to count - 1 do
-      if Ivec.get offs (i + 1) < Ivec.get offs i then ok := false
-    done;
-    if (not !ok) || Ivec.get offs count <> String.length blob then
-      Error
-        (Codec.Corrupt
-           (Printf.sprintf "%s: offsets inconsistent with blob" what))
-    else
-      Ok
-        (Array.init count (fun i ->
-             let lo = Ivec.get offs i in
-             String.sub blob lo (Ivec.get offs (i + 1) - lo)))
-  end
+let add_strings w ~off_id ~blob_id a =
+  let b = Dex.Textstore.Builder.create () in
+  Array.iter
+    (fun s ->
+       Dex.Textstore.Builder.add_string b s;
+       Dex.Textstore.Builder.end_line b)
+    a;
+  add_store w ~off_id ~blob_id (Dex.Textstore.Builder.finish b)
 
-(* The same pair with the count derived from the offsets section — for
-   optional sections whose cardinality is not in the meta record. *)
-let load_strings_counted r ~off_id ~blob_id ~what =
-  let* offs = Codec.map_ivec r ~id:off_id in
-  let count = Ivec.length offs - 1 in
-  if count < 0 then
-    Error (Codec.Corrupt (Printf.sprintf "%s: empty offsets" what))
-  else load_strings r ~off_id ~blob_id ~count ~what
-
-(* The same (offsets, blob) pair mapped off-heap instead of materialised —
-   the v2 line-text load path.  [Textstore.create] re-checks the offset
-   geometry and raises; translate to the typed error. *)
-let map_textstore r ~off_id ~blob_id ~count ~what =
+(* The pair mapped off-heap, holding [count] strings when that is given.
+   [Textstore.create] checks the offset geometry and raises; translate to
+   the typed error. *)
+let map_store ?count r ~off_id ~blob_id ~what =
   let* offs = Codec.map_ivec r ~id:off_id in
   let* blob = Codec.map_bytes r ~id:blob_id in
-  if Ivec.length offs <> count + 1 then
-    Error (Codec.Corrupt (Printf.sprintf "%s: offsets length mismatch" what))
-  else
+  let bad m = Error (Codec.Corrupt (Printf.sprintf "%s: %s" what m)) in
+  match count with
+  | Some n when Ivec.length offs <> n + 1 -> bad "offsets length mismatch"
+  | _ -> (
     match Dex.Textstore.create ~blob ~offs with
-    | store -> Ok (store, blob, offs)
-    | exception Invalid_argument m ->
-      Error (Codec.Corrupt (Printf.sprintf "%s: %s" what m))
+    | store -> Ok store
+    | exception Invalid_argument m -> bad m)
+
+let load_strings ?count r ~off_id ~blob_id ~what =
+  let* store = map_store ?count r ~off_id ~blob_id ~what in
+  Ok (Array.init (Dex.Textstore.count store) (Dex.Textstore.get store))
 
 (* -- Per-class map sections ------------------------------------------- *)
 
-let add_classmap w (cm : Classmap.t) =
+(* The hashes section pairs each class's IR hash with the hash of its
+   rendered text, computed here from the blob: the in-memory class map
+   keeps only what the delta path diffs on. *)
+let add_classmap w (cm : Classmap.t) texts =
   let n = Classmap.length cm in
   if n > 0 then begin
     add_strings w ~off_id:sec_cm_name_offsets ~blob_id:sec_cm_name_blob
@@ -149,7 +131,9 @@ let add_classmap w (cm : Classmap.t) =
     Codec.add_ints w ~id:sec_cm_ranges ranges;
     let b = Bytes.create (16 * n) in
     for i = 0 to n - 1 do
-      Bytes.set_int64_le b (16 * i) cm.Classmap.text_hash.(i);
+      Bytes.set_int64_le b (16 * i)
+        (Classmap.text_hash texts cm.Classmap.line_lo.(i)
+           cm.Classmap.line_hi.(i));
       Bytes.set_int64_le b ((16 * i) + 8) cm.Classmap.ir_hash.(i)
     done;
     Codec.add_blob w ~id:sec_cm_hashes (Bytes.unsafe_to_string b)
@@ -159,7 +143,7 @@ let load_classmap r ~n_lines ~n_slots =
   if not (Codec.mem r ~id:sec_cm_name_offsets) then Ok Classmap.empty
   else
     let* names =
-      load_strings_counted r ~off_id:sec_cm_name_offsets
+      load_strings r ~off_id:sec_cm_name_offsets
         ~blob_id:sec_cm_name_blob ~what:"classmap names"
     in
     let n = Array.length names in
@@ -172,14 +156,13 @@ let load_classmap r ~n_lines ~n_slots =
     else begin
       let line_lo = Array.make n 0 and line_hi = Array.make n 0 in
       let slot_lo = Array.make n 0 and slot_hi = Array.make n 0 in
-      let text_hash = Array.make n 0L and ir_hash = Array.make n 0L in
+      let ir_hash = Array.make n 0L in
       let ok = ref true in
-      let hb = Bytes.unsafe_of_string hashes in
       for i = 0 to n - 1 do
-        let llo = Ivec.get ranges ((4 * i) + 0) in
-        let lhi = Ivec.get ranges ((4 * i) + 1) in
-        let slo = Ivec.get ranges ((4 * i) + 2) in
-        let shi = Ivec.get ranges ((4 * i) + 3) in
+        let llo = iget ranges ((4 * i) + 0) in
+        let lhi = iget ranges ((4 * i) + 1) in
+        let slo = iget ranges ((4 * i) + 2) in
+        let shi = iget ranges ((4 * i) + 3) in
         if llo < 0 || llo > lhi || lhi > n_lines then ok := false;
         if slo < 0 || slo > shi || shi > n_slots then ok := false;
         (* class runs are disjoint and in line/slot order *)
@@ -189,14 +172,13 @@ let load_classmap r ~n_lines ~n_slots =
         line_hi.(i) <- lhi;
         slot_lo.(i) <- slo;
         slot_hi.(i) <- shi;
-        text_hash.(i) <- Bytes.get_int64_le hb (16 * i);
-        ir_hash.(i) <- Bytes.get_int64_le hb ((16 * i) + 8)
+        (* the text hash (bytes [16i, 16i+8)) is recomputed on save *)
+        ir_hash.(i) <- String.get_int64_le hashes ((16 * i) + 8)
       done;
       if not !ok then Error (Codec.Corrupt "classmap: ranges out of order")
       else
         Ok
-          (Classmap.v ~names ~line_lo ~line_hi ~slot_lo ~slot_hi ~text_hash
-             ~ir_hash)
+          (Classmap.v ~names ~line_lo ~line_hi ~slot_lo ~slot_hi ~ir_hash)
     end
 
 (* -- Save ------------------------------------------------------------- *)
@@ -217,10 +199,10 @@ let coded_sections (p : Packed.t) =
     if Array.length !run < n then run := Array.make (max n 64) 0;
     let a = !run and i = ref 0 in
     Packed.iter_key p k (fun slot -> a.(!i) <- slot; incr i);
-    Ivec.set offsets k (Buffer.length buf);
+    iset offsets k (Buffer.length buf);
     Postcodec.encode buf ~get:(Array.get a) ~lo:0 ~hi:n
   done;
-  Ivec.set offsets nk (Buffer.length buf);
+  iset offsets nk (Buffer.length buf);
   (offsets, Buffer.contents buf)
 
 let save ?(format_version = Codec.format_version) ?ruleset_hash
@@ -246,8 +228,8 @@ let save ?(format_version = Codec.format_version) ?ruleset_hash
    | Some h -> Codec.add_ints w ~id:sec_ruleset [| h |]
    | None -> ());
   add_strings w ~off_id:sec_sym_offsets ~blob_id:sec_sym_blob syms;
-  add_strings w ~off_id:sec_line_offsets ~blob_id:sec_line_blob
-    (Array.init n_lines (Dex.Dexfile.line_text dex));
+  let texts = dex.Dex.Dexfile.texts in
+  add_store w ~off_id:sec_line_offsets ~blob_id:sec_line_blob texts;
   add_strings w ~off_id:sec_owner_offsets ~blob_id:sec_owner_blob
     (Array.map Ir.Jsig.meth_to_string arena.Dex.Arena.owners);
   add_strings w ~off_id:sec_cls_offsets ~blob_id:sec_cls_blob
@@ -257,7 +239,7 @@ let save ?(format_version = Codec.format_version) ?ruleset_hash
   Codec.add_ivec w ~id:sec_owner_id arena.Dex.Arena.owner_id;
   Codec.add_ivec w ~id:sec_cat arena.Dex.Arena.cat;
   Codec.add_ivec w ~id:sec_sym arena.Dex.Arena.sym;
-  add_classmap w dex.Dex.Dexfile.classmap;
+  add_classmap w (Dex.Dexfile.classmap dex) texts;
   if Array.length results > 0 then
     add_strings w ~off_id:sec_results_offsets ~blob_id:sec_results_blob
       results;
@@ -299,21 +281,21 @@ let check_packed_flat ~n_syms ~n_slots c ~keys ~offsets ~slots =
     Error (Codec.Corrupt (Printf.sprintf "postings %d: %s" c what))
   in
   if Ivec.length offsets <> nk + 1 then bad "offsets length"
-  else if Ivec.get offsets 0 <> 0 then bad "offsets start"
-  else if Ivec.get offsets nk <> Ivec.length slots then bad "offsets end"
+  else if iget offsets 0 <> 0 then bad "offsets start"
+  else if iget offsets nk <> Ivec.length slots then bad "offsets end"
   else begin
     let ok = ref true in
     for k = 0 to nk - 1 do
-      let key = Ivec.get keys k in
+      let key = iget keys k in
       if key < 0 || key >= n_syms then ok := false;
-      if k > 0 && Ivec.get keys (k - 1) >= key then ok := false;
-      if Ivec.get offsets (k + 1) < Ivec.get offsets k then ok := false
+      if k > 0 && iget keys (k - 1) >= key then ok := false;
+      if iget offsets (k + 1) < iget offsets k then ok := false
     done;
     if not !ok then bad "keys/offsets not ascending or out of range"
     else begin
       let ok = ref true in
       for i = 0 to Ivec.length slots - 1 do
-        let s = Ivec.get slots i in
+        let s = iget slots i in
         if s < 0 || s >= n_slots then ok := false
       done;
       if !ok then Ok () else bad "slot out of range"
@@ -331,15 +313,15 @@ let check_packed_coded ~n_syms ~n_slots c ~keys ~offsets ~(coded : Bvec.t) =
     Error (Codec.Corrupt (Printf.sprintf "postings %d: %s" c what))
   in
   if Ivec.length offsets <> nk + 1 then bad "offsets length"
-  else if nk > 0 && Ivec.get offsets 0 <> 0 then bad "offsets start"
-  else if Ivec.get offsets nk <> Bvec.length coded then bad "offsets end"
+  else if nk > 0 && iget offsets 0 <> 0 then bad "offsets start"
+  else if iget offsets nk <> Bvec.length coded then bad "offsets end"
   else begin
     let ok = ref true in
     for k = 0 to nk - 1 do
-      let key = Ivec.get keys k in
+      let key = iget keys k in
       if key < 0 || key >= n_syms then ok := false;
-      if k > 0 && Ivec.get keys (k - 1) >= key then ok := false;
-      if Ivec.get offsets (k + 1) < Ivec.get offsets k then ok := false
+      if k > 0 && iget keys (k - 1) >= key then ok := false;
+      if iget offsets (k + 1) < iget offsets k then ok := false
     done;
     if not !ok then bad "keys/offsets not ascending or out of range"
     else begin
@@ -347,8 +329,8 @@ let check_packed_coded ~n_syms ~n_slots c ~keys ~offsets ~(coded : Bvec.t) =
         if k = nk then Ok ()
         else
           match
-            Postcodec.validate coded ~pos:(Ivec.get offsets k)
-              ~limit:(Ivec.get offsets (k + 1)) ~max_slot:(n_slots - 1)
+            Postcodec.validate coded ~pos:(iget offsets k)
+              ~limit:(iget offsets (k + 1)) ~max_slot:(n_slots - 1)
           with
           | Ok _ -> runs (k + 1)
           | Error m -> bad (Printf.sprintf "run %d: %s" k m)
@@ -372,9 +354,8 @@ type parsed = {
   p_version : int;
   p_n_lines : int;
   p_n_slots : int;
-  p_syms : string array;
-  p_texts :
-    [ `Heap of string array | `Store of Dex.Textstore.t * Bvec.t * Ivec.t ];
+  p_syms : Dex.Textstore.t;  (** the symbol table, one string per line *)
+  p_texts : Dex.Textstore.t;
   p_owners : Ir.Jsig.meth array;
   p_owner_cls : string array;
   p_line_idx : Ivec.t;
@@ -392,33 +373,22 @@ let parse r =
   let* meta = Codec.map_ivec r ~id:sec_meta in
   if Ivec.length meta <> 4 then Error (Codec.Corrupt "meta length")
   else begin
-    let n_lines = Ivec.get meta 0 in
-    let n_slots = Ivec.get meta 1 in
-    let n_owners = Ivec.get meta 2 in
-    let n_syms = Ivec.get meta 3 in
+    let n_lines = iget meta 0 in
+    let n_slots = iget meta 1 in
+    let n_owners = iget meta 2 in
+    let n_syms = iget meta 3 in
     if n_lines < 0 || n_slots < 0 || n_owners < 0 || n_syms < 0 then
       Error (Codec.Corrupt "negative count in meta")
     else
       let* syms =
-        load_strings r ~off_id:sec_sym_offsets ~blob_id:sec_sym_blob
+        map_store r ~off_id:sec_sym_offsets ~blob_id:sec_sym_blob
           ~count:n_syms ~what:"symbol table"
       in
-      (* v1 materialises one heap string per line; v2 leaves the texts
-         in the mapped blob and lines lazily materialise through
-         [Dexfile.line_text]. *)
+      (* the texts stay in the mapped blob (both versions lay it out
+         alike); a line materialises only when a hit returns it *)
       let* texts =
-        if version >= 2 then
-          let* store, blob, offs =
-            map_textstore r ~off_id:sec_line_offsets
-              ~blob_id:sec_line_blob ~count:n_lines ~what:"line texts"
-          in
-          Ok (`Store (store, blob, offs))
-        else
-          let* a =
-            load_strings r ~off_id:sec_line_offsets
-              ~blob_id:sec_line_blob ~count:n_lines ~what:"line texts"
-          in
-          Ok (`Heap a)
+        map_store r ~off_id:sec_line_offsets ~blob_id:sec_line_blob
+          ~count:n_lines ~what:"line texts"
       in
       let* owner_strs =
         load_strings r ~off_id:sec_owner_offsets ~blob_id:sec_owner_blob
@@ -451,11 +421,13 @@ let parse r =
       let* () =
         (* range-check the arena before anything dereferences it *)
         let ok = ref true in
+        let get (v : Ivec.t) i = Bigarray.Array1.unsafe_get v i in
         for i = 0 to n_slots - 1 do
-          let li = Ivec.get line_idx i in
-          let oi = Ivec.get owner_id i in
-          let c = Ivec.get cat i in
-          let s = Ivec.get sym i in
+          (* in bounds: every column's length is [n_slots], checked above *)
+          let li = get line_idx i in
+          let oi = get owner_id i in
+          let c = get cat i in
+          let s = get sym i in
           if li < 0 || li >= n_lines then ok := false;
           if oi < 0 || oi >= n_owners then ok := false;
           if c < -1 || c >= n_categories - 1 then ok := false;
@@ -496,7 +468,7 @@ let parse r =
           let* v = Codec.map_ivec r ~id:sec_ruleset in
           if Ivec.length v <> 1 then
             Error (Codec.Corrupt "ruleset section length")
-          else Ok (Some (Ivec.get v 0))
+          else Ok (Some (iget v 0))
       in
       let* classmap = load_classmap r ~n_lines ~n_slots in
       Ok
@@ -520,7 +492,7 @@ let remap_packed live_of_snap (p : Packed.t) =
   let p = Packed.to_flat p in
   let nk = Packed.n_keys p in
   let newkey =
-    Array.init nk (fun k -> live_of_snap.(Ivec.get p.Packed.keys k))
+    Array.init nk (fun k -> live_of_snap.(iget p.Packed.keys k))
   in
   let order = Array.init nk Fun.id in
   Array.sort (fun a b -> compare newkey.(a) newkey.(b)) order;
@@ -528,14 +500,14 @@ let remap_packed live_of_snap (p : Packed.t) =
   let offsets = Ivec.create (nk + 1) in
   let slots = Ivec.create (Packed.n_slots p) in
   let pos = ref 0 in
-  Ivec.set offsets 0 0;
+  iset offsets 0 0;
   Array.iteri
     (fun i k ->
-       Ivec.set keys i newkey.(k);
+       iset keys i newkey.(k);
        Packed.iter_key p k (fun slot ->
-           Ivec.set slots !pos slot;
+           iset slots !pos slot;
            incr pos);
-       Ivec.set offsets (i + 1) !pos)
+       iset offsets (i + 1) !pos)
     order;
   { Packed.keys; offsets; body = Packed.Flat slots }
 
@@ -566,7 +538,7 @@ let prefault_hot ~(arena : Dex.Arena.t) ~(packed : Packed.t array) =
    engine is usable either way; the knob only moves page-fault cost from
    first queries to load. *)
 let prefault_engine ~(arena : Dex.Arena.t) ~(packed : Packed.t array)
-    ~(texts : Dex.Textstore.t option) =
+    ~(texts : Dex.Textstore.t) =
   let acc = ref (prefault_hot ~arena ~packed) in
   Array.iter
     (fun (p : Packed.t) ->
@@ -574,9 +546,7 @@ let prefault_engine ~(arena : Dex.Arena.t) ~(packed : Packed.t array)
        | Packed.Flat slots -> acc := !acc lxor Ivec.prefault slots
        | Packed.Coded b -> acc := !acc lxor Bvec.prefault b)
     packed;
-  (match texts with
-   | Some store -> acc := !acc lxor Dex.Textstore.prefault store
-   | None -> ());
+  acc := !acc lxor Dex.Textstore.prefault texts;
   Sys.opaque_identity !acc
 
 let load ?(prefault = false) ~path program =
@@ -602,14 +572,22 @@ let load ?(prefault = false) ~path program =
   in
   finish
     (let* p = parse r in
-     let n_lines = p.p_n_lines and n_slots = p.p_n_slots in
-     let texts_store =
-       match p.p_texts with `Store (s, _, _) -> Some s | `Heap _ -> None
-     in
+     let n_slots = p.p_n_slots in
      (* Re-intern the snapshot's symbol table; ids are stable when the
         live table evolved identically (the common warm start). *)
+     let n_live = Sym.interned () in
+     let syms = p.p_syms in
      let live_of_snap =
-       Array.map (fun s -> Sym.id (Sym.intern s)) p.p_syms
+       Array.init (Dex.Textstore.count syms) (fun i ->
+           (* a symbol already live under the snapshot's id needs no
+              string and no table lookup *)
+           let live = if i < n_live then Sym.to_string (Sym.unsafe_of_id i) else "" in
+           if
+             i < n_live
+             && Dex.Textstore.length_at syms i = String.length live
+             && Dex.Textstore.starts_with syms i ~pos:0 ~prefix:live
+           then i
+           else Sym.id (Sym.intern (Dex.Textstore.get syms i)))
      in
      let identity =
        let ok = ref true in
@@ -625,39 +603,10 @@ let load ?(prefault = false) ~path program =
           touches the file *)
        Obs.Metrics.incr m_load_remapped;
        for i = 0 to n_slots - 1 do
-         let s = Ivec.get p.p_sym i in
-         if s >= 0 then Ivec.set p.p_sym i live_of_snap.(s)
+         let s = iget p.p_sym i in
+         if s >= 0 then iset p.p_sym i live_of_snap.(s)
        done
      end;
-     (* scatter arena rows to per-line metadata first so each line
-        record is allocated exactly once *)
-     let owner_of_line = Array.make n_lines (-1) in
-     let stmt_of_line = Array.make n_lines (-1) in
-     for i = 0 to n_slots - 1 do
-       let li = Ivec.get p.p_line_idx i in
-       owner_of_line.(li) <- Ivec.get p.p_owner_id i;
-       stmt_of_line.(li) <- Ivec.get p.p_stmt_idx i
-     done;
-     let text_of_line =
-       match p.p_texts with
-       | `Store _ -> fun _ -> Dex.Textstore.pending
-       | `Heap a -> fun li -> a.(li)
-     in
-     let lines =
-       Array.init n_lines (fun li ->
-           let oi = owner_of_line.(li) in
-           if oi < 0 then
-             { Dex.Disasm.text = text_of_line li; owner = None;
-               owner_cls = None; stmt_idx = None;
-               key = Dex.Disasm.K_none; tokens = None }
-           else
-             let si = stmt_of_line.(li) in
-             { Dex.Disasm.text = text_of_line li;
-               owner = Some p.p_owners.(oi);
-               owner_cls = Some p.p_owner_cls.(oi);
-               stmt_idx = (if si >= 0 then Some si else None);
-               key = Dex.Disasm.K_none; tokens = None })
-     in
      let arena =
        { Dex.Arena.line_idx = p.p_line_idx; stmt_idx = p.p_stmt_idx;
          owner_id = p.p_owner_id; cat = p.p_cat; sym = p.p_sym;
@@ -669,17 +618,11 @@ let load ?(prefault = false) ~path program =
         and the text blob *)
      if prefault then begin
        Obs.Metrics.incr m_load_prefaulted;
-       ignore (prefault_engine ~arena ~packed ~texts:texts_store)
+       ignore (prefault_engine ~arena ~packed ~texts:p.p_texts)
      end
      else ignore (prefault_hot ~arena ~packed);
      let dex =
-       match texts_store with
-       | Some store ->
-         Dex.Dexfile.of_store ~classmap:p.p_classmap lines arena program
-           store
-       | None ->
-         { Dex.Dexfile.lines; arena; program; classmap = p.p_classmap;
-           texts = None }
+       Dex.Dexfile.v ~classmap:p.p_classmap p.p_texts arena program
      in
      let engine = Engine.create_packed dex packed in
      (* carry the saved rule-set stamp onto the engine, so an analysis
@@ -701,7 +644,7 @@ let load_results ~path =
   finish
     (if not (Codec.mem r ~id:sec_results_offsets) then Ok [||]
      else
-       load_strings_counted r ~off_id:sec_results_offsets
+       load_strings r ~off_id:sec_results_offsets
          ~blob_id:sec_results_blob ~what:"results")
 
 (* -- Delta ------------------------------------------------------------ *)
@@ -726,413 +669,244 @@ let delta_report_to_string d =
     d.d_lines_reused d.d_lines_rendered d.d_patched_postings_bytes
     d.d_rebuilt_postings_bytes
 
-(* Merge two ascending slot runs (carried-over old slots and freshly built
-   ones).  The old run is ascending because the old->new slot map is
-   monotone whenever both builds lay classes out in the same relative
-   order; a final sortedness check covers the exotic layouts (multidex
-   partition order) by falling back to a sort. *)
-let merge_runs a b =
-  let rec go acc a b =
-    match (a, b) with
-    | [], rest | rest, [] -> List.rev_append acc rest
-    | x :: a', y :: b' ->
-      if x <= y then go (x :: acc) a' b else go (y :: acc) b' a
-  in
-  let merged = go [] a b in
-  let rec sorted = function
-    | [] | [ _ ] -> true
-    | x :: (y :: _ as tl) -> x < y && sorted tl
-  in
-  if sorted merged then merged else List.sort_uniq compare merged
+(* Key run [\[lo, hi)] of [slots] holds carried slots, each ascending,
+   then fresh ones: sort it when both are present, or when the old->new
+   slot map is not monotone (an old multidex build, laid out in partition
+   order). *)
+let settle slots ~lo ~mid ~hi ~monotone =
+  if (mid > lo && hi > mid) || ((not monotone) && hi - lo > 1) then begin
+    let a = Array.init (hi - lo) (fun i -> iget slots (lo + i)) in
+    Array.sort compare a;
+    Array.iteri (fun i x -> iset slots (lo + i) x) a
+  end
 
-(* What delta decided about one class of the new build, in new line
-   order. *)
-type plan_entry =
-  | P_reuse of int  (* old classmap index; lines/slots/postings carried *)
-  | P_render of Dex.Disasm.line array  (* changed or added: fresh lines *)
+(* One category's postings for the patched build, CSR to CSR: the old rows
+   carried through [runs] (the old engine's keys are already live symbol
+   ids), the reused ranges of old slots as [(lo, hi, shift)] sorted by
+   [lo] — a slot outside them belongs to a removed or re-rendered class and
+   is dropped — merged
+   key by key with [fresh], the re-rendered classes' entries as ascending
+   [key lsl 31 lor slot] codes.  Returns the postings and the number of
+   entries carried. *)
+let patch_postings (old_p : Packed.t) ~runs ~monotone
+    (fresh : int array) =
+  let nk_old = Packed.n_keys old_p and nf = Array.length fresh in
+  let keys = Ivec.create (nk_old + nf) in
+  let offsets = Ivec.create (nk_old + nf + 1) in
+  let slots = Ivec.create (Packed.n_slots old_p + nf) in
+  iset offsets 0 0;
+  let nk = ref 0 and pos = ref 0 and ki = ref 0 and fi = ref 0 in
+  let nr = Array.length runs in
+  while !ki < nk_old || !fi < nf do
+    let ko = if !ki < nk_old then iget old_p.Packed.keys !ki else max_int in
+    let kf = if !fi < nf then fresh.(!fi) lsr 31 else max_int in
+    let k = min ko kf in
+    let lo = !pos in
+    if ko = k then begin
+      (* decode the old run in place, then map it through [runs] (its
+         slots ascend, so one cursor follows them), dropping the slots of
+         removed and re-rendered classes *)
+      let n = Packed.blit_key old_p !ki slots lo in
+      let r = ref 0 in
+      for j = lo to lo + n - 1 do
+        let os = Bigarray.Array1.unsafe_get slots j in
+        while !r < nr && (let _, hi, _ = Array.unsafe_get runs !r in hi <= os) do
+          incr r
+        done;
+        if !r < nr then begin
+          let rlo, _, shift = Array.unsafe_get runs !r in
+          if os >= rlo then begin
+            Bigarray.Array1.unsafe_set slots !pos (os + shift);
+            incr pos
+          end
+        end
+      done;
+      incr ki
+    end;
+    let mid = !pos in
+    while !fi < nf && fresh.(!fi) lsr 31 = k do
+      iset slots !pos (fresh.(!fi) land 0x7fffffff);
+      incr pos;
+      incr fi
+    done;
+    if !pos > lo then begin
+      settle slots ~lo ~mid ~hi:!pos ~monotone;
+      iset keys !nk k;
+      incr nk;
+      iset offsets !nk !pos
+    end
+  done;
+  let sub v n = Bigarray.Array1.sub v 0 n in
+  ( { Packed.keys = sub keys !nk; offsets = sub offsets (!nk + 1);
+      body = Packed.Flat (sub slots !pos) },
+    !pos - nf )
 
 (* Patch a resident engine into an engine for [program].  This is the
    maintained-index scenario — an app-store service holding the previous
    version's index in memory, or the corpus cache that just loaded and
    freshness-checked a snapshot — and the core of the delta path: it works
-   purely on live structures, so there is no file parse, no symbol
-   re-interning (a live engine's ids are by definition the live ones), and
-   the unchanged classes' line records are shared by reference with the
-   old engine instead of being rebuilt.  Nothing in a line record depends
-   on its position, and the only mutable field ([text]) lazily
-   materialises to the same bytes through either version's store, so
-   sharing is safe and leaves the old engine untouched. *)
+   purely on live structures, so there is no file parse and no symbol
+   re-interning (a live engine's ids are by definition the live ones).
+   Unchanged classes contribute their old text bytes and arena rows as
+   whole ranges; only changed and added classes are rendered, straight
+   into the new blob and arena.  The old engine is left untouched. *)
 let delta_of_engine old_engine program =
   let span0 = Obs.Span.start () in
   let dex_old = Engine.dexfile old_engine in
-  let cm_old = dex_old.Dex.Dexfile.classmap in
-  if
-    Classmap.length cm_old = 0
-    && Array.length dex_old.Dex.Dexfile.lines > 0
-  then
+  let cm_old = Dex.Dexfile.classmap dex_old in
+  if Classmap.length cm_old = 0 && Dex.Dexfile.line_count dex_old > 0 then
     Error
       (Codec.Corrupt
          "engine has no class map (pre-delta snapshot or warm placeholder)")
   else begin
-    let old_lines = dex_old.Dex.Dexfile.lines in
+    let old_texts = dex_old.Dex.Dexfile.texts in
     let oa = dex_old.Dex.Dexfile.arena in
-    let old_packed = Engine.export_packed old_engine in
-    let old_n_slots = Ivec.length oa.Dex.Arena.line_idx in
-    (* The new build's class list, in the canonical disassembly order
-       (non-system classes sorted by name, as [Disasm.program_lines]
-       emits them). *)
-    let classes =
-      Ir.Program.fold_classes program (fun c acc -> c :: acc) []
-      |> List.filter (fun (c : Ir.Jclass.t) -> not c.Ir.Jclass.is_system)
-      |> List.sort (fun (a : Ir.Jclass.t) b ->
-             String.compare a.Ir.Jclass.name b.Ir.Jclass.name)
-    in
-    let n_unchanged = ref 0
-    and n_changed = ref 0
-    and n_added = ref 0 in
+    let old_n_slots = Dex.Arena.length oa in
+    let n_unchanged = ref 0 and n_changed = ref 0 and n_added = ref 0 in
+    (* per class of the new build, in disassembly order: the old classmap
+       entry to reuse, or [None] to render.  The old owner table is carried
+       wholesale: reused slots keep their owner ids verbatim, and a changed
+       class's methods find their old ids again ([seed]) where the
+       signature persists.  Owners of removed classes (or removed methods)
+       linger as unreferenced entries; they are reclaimed by the next full
+       save-from-cold. *)
+    let seed = ref [] in
     let plan =
-      List.map
-        (fun (c : Ir.Jclass.t) ->
+      Array.map
+        (fun ((c : Ir.Jclass.t), found) ->
            let ih = Ir.Irhash.jclass c in
-           match Classmap.find cm_old c.Ir.Jclass.name with
+           match found with
            | Some oi when cm_old.Classmap.ir_hash.(oi) = ih ->
              incr n_unchanged;
-             (c, ih, P_reuse oi)
-           | Some _ ->
+             (c, ih, Some oi)
+           | Some oi ->
              incr n_changed;
-             (c, ih, P_render (Array.of_list (Dex.Disasm.class_lines c)))
+             for s = cm_old.Classmap.slot_lo.(oi)
+                 to cm_old.Classmap.slot_hi.(oi) - 1 do
+               seed := iget oa.Dex.Arena.owner_id s :: !seed
+             done;
+             (c, ih, None)
            | None ->
              incr n_added;
-             (c, ih, P_render (Array.of_list (Dex.Disasm.class_lines c))))
-        classes
+             (c, ih, None))
+        (Array.of_list
+           (List.map
+              (fun (c : Ir.Jclass.t) -> (c, Classmap.find cm_old c.name))
+              (Dex.Disasm.app_classes program)))
     in
-    let n_classes = List.length plan in
+    let n_classes = Array.length plan in
     let n_removed = Classmap.length cm_old - !n_unchanged - !n_changed in
-    (* sizes *)
-    let n_lines = ref 0 and n_slots = ref 0 in
-    let reused_lines = ref 0 and rendered_lines = ref 0 in
-    List.iter
-      (fun (_, _, pe) ->
-         match pe with
-         | P_reuse oi ->
-           let nl =
-             cm_old.Classmap.line_hi.(oi) - cm_old.Classmap.line_lo.(oi)
-           in
-           reused_lines := !reused_lines + nl;
-           n_lines := !n_lines + nl;
-           n_slots :=
-             !n_slots
-             + (cm_old.Classmap.slot_hi.(oi) - cm_old.Classmap.slot_lo.(oi))
-         | P_render lines ->
-           rendered_lines := !rendered_lines + Array.length lines;
-           n_lines := !n_lines + Array.length lines;
-           Array.iter
-             (fun (l : Dex.Disasm.line) ->
-                if l.Dex.Disasm.owner <> None then incr n_slots)
-             lines)
-      plan;
-    let n_lines = !n_lines and n_slots = !n_slots in
-    (* the new text geometry, present iff the old dexfile is store-backed:
-       reused classes contribute their old blob byte ranges wholesale,
-       rendered classes their fresh strings *)
-    let old_store =
-      match dex_old.Dex.Dexfile.texts with
-      | Some store ->
-        Some (Dex.Textstore.blob store, Dex.Textstore.offsets store)
-      | None -> None
+    (* capacity for the old build plus room to grow, so the builders
+       never copy *)
+    let room n = n + (n / 8) + 1024 in
+    let tb =
+      Dex.Textstore.Builder.create
+        ~bytes:(room (Bvec.length (Dex.Textstore.blob old_texts)))
+        ~lines:(room (Dex.Textstore.count old_texts)) ()
     in
-    let blob_bytes = ref 0 in
-    (match old_store with
-     | None -> ()
-     | Some (_, old_offs) ->
-       List.iter
-         (fun (_, _, pe) ->
-            match pe with
-            | P_reuse oi ->
-              blob_bytes :=
-                !blob_bytes
-                + (Ivec.get old_offs cm_old.Classmap.line_hi.(oi)
-                   - Ivec.get old_offs cm_old.Classmap.line_lo.(oi))
-            | P_render lines ->
-              Array.iter
-                (fun (l : Dex.Disasm.line) ->
-                   blob_bytes := !blob_bytes + String.length l.Dex.Disasm.text)
-                lines)
-         plan);
-    let new_blob =
-      match old_store with
-      | Some _ -> Some (Bvec.create !blob_bytes, Ivec.create (n_lines + 1))
-      | None -> None
+    let ab =
+      Dex.Arena.Builder.create ~slots:(room old_n_slots)
+        ~owners:(oa.Dex.Arena.owners, oa.Dex.Arena.owner_cls)
+        ~seed:!seed ()
     in
-    (* splice: lines, arena columns, text blob, classmap — one pass in new
-       class order *)
-    let dummy = Dex.Disasm.header "" None in
-    let lines = Array.make (max 1 n_lines) dummy in
-    let line_idx = Ivec.create n_slots in
-    let stmt_idx = Ivec.create n_slots in
-    let owner_id = Ivec.create n_slots in
-    let cat = Ivec.create n_slots in
-    let sym = Ivec.create n_slots in
-    let slot_map = Array.make (max 1 old_n_slots) (-1) in
-    (* The old owner table is carried wholesale: reused slots keep their
-       owner ids verbatim (no re-interning), and only the methods of
-       re-rendered classes go through a table — seeded with the old ids
-       of exactly those classes, so a re-rendered class reuses its old
-       owner ids where the signature persists.  Owners of removed classes
-       (or removed methods) linger as unreferenced entries; they are
-       reclaimed by the next full save-from-cold. *)
-    let rendered_cls = Hashtbl.create 16 in
-    List.iter
-      (fun ((c : Ir.Jclass.t), _, pe) ->
-         match pe with
-         | P_render _ -> Hashtbl.replace rendered_cls c.Ir.Jclass.name ()
-         | P_reuse _ -> ())
-      plan;
-    let owner_tbl : int Ir.Jsig.Meth_tbl.t = Ir.Jsig.Meth_tbl.create 64 in
-    Array.iteri
-      (fun i m ->
-         if Hashtbl.mem rendered_cls oa.Dex.Arena.owner_cls.(i) then
-           Ir.Jsig.Meth_tbl.replace owner_tbl m i)
-      oa.Dex.Arena.owners;
-    let n_old_owners = Array.length oa.Dex.Arena.owners in
-    let owners_tail = ref []
-    and owner_cls_tail = ref []
-    and n_owners = ref n_old_owners in
-    let intern_owner meth cls =
-      match Ir.Jsig.Meth_tbl.find_opt owner_tbl meth with
-      | Some id -> id
-      | None ->
-        let id = !n_owners in
-        incr n_owners;
-        Ir.Jsig.Meth_tbl.add owner_tbl meth id;
-        owners_tail := meth :: !owners_tail;
-        owner_cls_tail := cls :: !owner_cls_tail;
-        id
+    let starts = Array.make (n_classes + 1) 0 in
+    let cm_slot_lo = Array.make n_classes 0 in
+    let cm_slot_hi = Array.make n_classes 0 in
+    let fresh_ranges = ref [] and reused_lines = ref 0 and runs = ref [] in
+    (* the old->new slot map stays monotone while reused runs come in old
+       order (both builds sorted by name; an old multidex build may not
+       be) *)
+    let monotone = ref true and last_old_slot = ref 0 in
+    let cm = cm_old in
+    (* A run of reused classes that were also adjacent in the old build
+       moves as one range of text bytes and arena rows. *)
+    let rec run_end ci oi =
+      if ci + 1 < n_classes then
+        match plan.(ci + 1) with
+        | _, _, Some oj
+          when oj = oi + 1
+               && cm.Classmap.line_lo.(oj) = cm.Classmap.line_hi.(oi)
+               && cm.Classmap.slot_lo.(oj) = cm.Classmap.slot_hi.(oi) ->
+          run_end (ci + 1) oj
+        | _ -> ci
+      else ci
     in
-    let cm_names = Array.make (max 1 n_classes) "" in
-    let cm_line_lo = Array.make (max 1 n_classes) 0 in
-    let cm_line_hi = Array.make (max 1 n_classes) 0 in
-    let cm_slot_lo = Array.make (max 1 n_classes) 0 in
-    let cm_slot_hi = Array.make (max 1 n_classes) 0 in
-    let cm_text = Array.make (max 1 n_classes) 0L in
-    let cm_ir = Array.make (max 1 n_classes) 0L in
-    (* slot ranges of rendered classes, for the fresh postings pass *)
-    let fresh_ranges = ref [] in
-    let lpos = ref 0 and spos = ref 0 and bpos = ref 0 and ci = ref 0 in
-    List.iter
-      (fun ((c : Ir.Jclass.t), ih, pe) ->
-         let line_base = !lpos and slot_base = !spos in
-         (match pe with
-          | P_reuse oi ->
-            let llo = cm_old.Classmap.line_lo.(oi)
-            and lhi = cm_old.Classmap.line_hi.(oi)
-            and slo = cm_old.Classmap.slot_lo.(oi)
-            and shi = cm_old.Classmap.slot_hi.(oi) in
-            let nl = lhi - llo and nsl = shi - slo in
-            (* share the unchanged class's line records *)
-            Array.blit old_lines llo lines line_base nl;
-            (match (new_blob, old_store) with
-             | Some (blob, offs), Some (old_blob, old_offs) ->
-               let o_lo = Ivec.get old_offs llo in
-               let o_hi = Ivec.get old_offs lhi in
-               let len = o_hi - o_lo in
-               if len > 0 then
-                 Bigarray.Array1.blit
-                   (Bigarray.Array1.sub old_blob o_lo len)
-                   (Bigarray.Array1.sub blob !bpos len);
-               let doff = !bpos - o_lo in
-               for li = llo to lhi - 1 do
-                 Ivec.set offs (line_base + li - llo)
-                   (Ivec.get old_offs li + doff)
-               done;
-               bpos := !bpos + len
-             | _ -> ());
-            (* arena columns: whole-class bulk copies; only [line_idx]
-               needs a per-slot rebase *)
-            if nsl > 0 then begin
-              Bigarray.Array1.blit
-                (Bigarray.Array1.sub oa.Dex.Arena.stmt_idx slo nsl)
-                (Bigarray.Array1.sub stmt_idx !spos nsl);
-              Bigarray.Array1.blit
-                (Bigarray.Array1.sub oa.Dex.Arena.cat slo nsl)
-                (Bigarray.Array1.sub cat !spos nsl);
-              Bigarray.Array1.blit
-                (Bigarray.Array1.sub oa.Dex.Arena.owner_id slo nsl)
-                (Bigarray.Array1.sub owner_id !spos nsl);
-              Bigarray.Array1.blit
-                (Bigarray.Array1.sub oa.Dex.Arena.sym slo nsl)
-                (Bigarray.Array1.sub sym !spos nsl);
-              let dline = line_base - llo in
-              for j = 0 to nsl - 1 do
-                Ivec.set line_idx (!spos + j)
-                  (Ivec.get oa.Dex.Arena.line_idx (slo + j) + dline);
-                slot_map.(slo + j) <- !spos + j
-              done
-            end;
-            spos := !spos + nsl;
-            cm_text.(!ci) <- cm_old.Classmap.text_hash.(oi);
-            lpos := line_base + nl
-          | P_render cls_lines ->
-            Array.iteri
-              (fun j (l : Dex.Disasm.line) ->
-                 lines.(line_base + j) <- l;
-                 (match new_blob with
-                  | Some (blob, offs) ->
-                    Ivec.set offs (line_base + j) !bpos;
-                    let s = l.Dex.Disasm.text in
-                    for k = 0 to String.length s - 1 do
-                      Bigarray.Array1.set blob (!bpos + k)
-                        (String.unsafe_get s k)
-                    done;
-                    bpos := !bpos + String.length s
-                  | None -> ());
-                 match l.Dex.Disasm.owner with
-                 | None -> ()
-                 | Some owner ->
-                   let ns = !spos in
-                   incr spos;
-                   Ivec.set line_idx ns (line_base + j);
-                   Ivec.set stmt_idx ns
-                     (Option.value ~default:(-1) l.Dex.Disasm.stmt_idx);
-                   let cc, sy = Dex.Arena.key_code l.Dex.Disasm.key in
-                   Ivec.set cat ns cc;
-                   Ivec.set sym ns sy;
-                   Ivec.set owner_id ns
-                     (intern_owner owner
-                        (Option.value ~default:"" l.Dex.Disasm.owner_cls)))
-              cls_lines;
-            lpos := line_base + Array.length cls_lines;
-            if !spos > slot_base then
-              fresh_ranges := (slot_base, !spos) :: !fresh_ranges;
-            cm_text.(!ci) <-
-              Classmap.text_hash_of_lines lines line_base !lpos);
-         cm_names.(!ci) <- c.Ir.Jclass.name;
-         cm_line_lo.(!ci) <- line_base;
-         cm_line_hi.(!ci) <- !lpos;
+    let ci = ref 0 in
+    while !ci < n_classes do
+      let line_base = Dex.Textstore.Builder.lines tb in
+      let slot_base = Dex.Arena.Builder.length ab in
+      (match plan.(!ci) with
+       | _, _, Some oi ->
+         let last = run_end !ci oi in
+         let oi_last = oi + (last - !ci) in
+         let llo = cm.Classmap.line_lo.(oi)
+         and lhi = cm.Classmap.line_hi.(oi_last)
+         and slo = cm.Classmap.slot_lo.(oi)
+         and shi = cm.Classmap.slot_hi.(oi_last) in
+         let dl = line_base - llo and ds = slot_base - slo in
+         Dex.Textstore.Builder.add_lines tb old_texts ~lo:llo ~hi:lhi;
+         Dex.Arena.Builder.add_slots ab oa ~lo:slo ~hi:shi ~line_shift:dl;
+         runs := (slo, shi, ds) :: !runs;
+         if slo < !last_old_slot then monotone := false;
+         last_old_slot := shi;
+         reused_lines := !reused_lines + (lhi - llo);
+         for k = 0 to last - !ci do
+           starts.(!ci + k) <- cm.Classmap.line_lo.(oi + k) + dl;
+           cm_slot_lo.(!ci + k) <- cm.Classmap.slot_lo.(oi + k) + ds;
+           cm_slot_hi.(!ci + k) <- cm.Classmap.slot_hi.(oi + k) + ds
+         done;
+         ci := last + 1
+       | c, _, None ->
+         Dex.Disasm.render_class tb ab c;
+         let slot_end = Dex.Arena.Builder.length ab in
+         if slot_end > slot_base then
+           fresh_ranges := (slot_base, slot_end) :: !fresh_ranges;
+         starts.(!ci) <- line_base;
          cm_slot_lo.(!ci) <- slot_base;
-         cm_slot_hi.(!ci) <- !spos;
-         cm_ir.(!ci) <- ih;
+         cm_slot_hi.(!ci) <- slot_end;
          incr ci)
-      plan;
-    (match new_blob with
-     | Some (_, offs) -> Ivec.set offs n_lines !bpos
-     | None -> ());
-    let fresh_ranges = List.rev !fresh_ranges in
-    let arena =
-      { Dex.Arena.line_idx; stmt_idx; owner_id; cat; sym;
-        owners =
-          Array.append oa.Dex.Arena.owners
-            (Array.of_list (List.rev !owners_tail));
-        owner_cls =
-          Array.append oa.Dex.Arena.owner_cls
-            (Array.of_list (List.rev !owner_cls_tail)) }
-    in
-    (* postings: per category, carry surviving old CSR rows through the
-       slot map (the old engine's keys are already live symbol ids) and
-       add the rendered classes' fresh entries *)
-    let patched_bytes = ref 0 and rebuilt_bytes = ref 0 in
-    let patch_category c =
-      let tbl : (int, int list ref * int list ref) Hashtbl.t =
-        Hashtbl.create 1024
-      in
-      let bucket k =
-        match Hashtbl.find_opt tbl k with
-        | Some b -> b
-        | None ->
-          let b = (ref [], ref []) in
-          Hashtbl.add tbl k b;
-          b
-      in
-      let old_p = old_packed.(c) in
-      let nk = Packed.n_keys old_p in
-      for ki = 0 to nk - 1 do
-        let k = Ivec.get old_p.Packed.keys ki in
-        let carried, _ = bucket k in
-        Packed.iter_key old_p ki (fun os ->
-            let ns = slot_map.(os) in
-            if ns >= 0 then begin
-              carried := ns :: !carried;
-              incr patched_bytes
-            end)
-      done;
-      let add_fresh k ns =
-        let _, fresh = bucket k in
-        fresh := ns :: !fresh;
-        incr rebuilt_bytes
-      in
-      List.iter
-        (fun (lo, hi) ->
-           for ns = lo to hi - 1 do
-             if c = 6 then begin
-               (* class tokens: every distinct class-descriptor token of
-                  the slot's line (rendered lines carry them) *)
-               let li = Ivec.get line_idx ns in
-               match lines.(li).Dex.Disasm.tokens with
-               | Some toks ->
-                 Array.iter (fun tok -> add_fresh (Sym.id tok) ns) toks
-               | None ->
-                 Array.iter
-                   (fun tok -> add_fresh (Sym.id tok) ns)
-                   (Dex.Tokens.of_string lines.(li).Dex.Disasm.text)
-             end
-             else begin
-               let cc = Ivec.get cat ns in
-               let member =
-                 if c = 4 then
-                   cc = Dex.Arena.cat_field || cc = Dex.Arena.cat_static_field
-                 else if c = 5 then cc = Dex.Arena.cat_static_field
-                 else cc = c
-               in
-               if member then add_fresh (Ivec.get sym ns) ns
-             end
-           done)
-        fresh_ranges;
-      (* finalize: ascending keys, each key's run ascending *)
-      let keys_l =
-        List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
-      in
-      let runs =
-        List.map
-          (fun k ->
-             let carried, fresh = Hashtbl.find tbl k in
-             (k, merge_runs (List.rev !carried) (List.rev !fresh)))
-          keys_l
-      in
-      let runs = List.filter (fun (_, run) -> run <> []) runs in
-      let nk = List.length runs in
-      let total = List.fold_left (fun n (_, r) -> n + List.length r) 0 runs in
-      let keys_v = Ivec.create nk in
-      let offsets = Ivec.create (nk + 1) in
-      let slots = Ivec.create total in
-      let pos = ref 0 in
-      Ivec.set offsets 0 0;
-      List.iteri
-        (fun i (k, run) ->
-           Ivec.set keys_v i k;
-           List.iter
-             (fun s ->
-                Ivec.set slots !pos s;
-                incr pos)
-             run;
-           Ivec.set offsets (i + 1) !pos)
-        runs;
-      { Packed.keys = keys_v; offsets; body = Packed.Flat slots }
-    in
-    let packed = Array.init n_categories patch_category in
+    done;
+    let texts = Dex.Textstore.Builder.finish tb in
+    let n_lines = Dex.Textstore.count texts in
+    starts.(n_classes) <- n_lines;
     let classmap =
-      Classmap.v ~names:cm_names ~line_lo:cm_line_lo ~line_hi:cm_line_hi
-        ~slot_lo:cm_slot_lo ~slot_hi:cm_slot_hi ~text_hash:cm_text
-        ~ir_hash:cm_ir
+      Classmap.v
+        ~names:(Array.map (fun ((c : Ir.Jclass.t), _, _) -> c.name) plan)
+        ~line_lo:(Array.sub starts 0 n_classes)
+        ~line_hi:(Array.sub starts 1 n_classes)
+        ~slot_lo:cm_slot_lo ~slot_hi:cm_slot_hi ~ir_hash:(Array.map (fun (_, ih, _) -> ih) plan)
     in
     let dex =
-      match new_blob with
-      | Some (blob, offs) ->
-        (match Dex.Textstore.create ~blob ~offs with
-         | store -> Dex.Dexfile.of_store ~classmap lines arena program store
-         | exception Invalid_argument m ->
-           (* impossible by construction; surface loudly if not *)
-           invalid_arg ("Snapshot.delta: " ^ m))
-      | None -> { Dex.Dexfile.lines; arena; program; classmap; texts = None }
+      Dex.Dexfile.v ~classmap texts (Dex.Arena.Builder.finish ab) program
+    in
+    let monotone = !monotone in
+    let runs = Array.of_list !runs in
+    Array.sort compare runs;
+    let fresh_ranges = List.rev !fresh_ranges in
+    let old_packed = Engine.export_packed old_engine in
+    let patched = ref 0 and rebuilt = ref 0 in
+    (* the re-rendered classes' entries, per category, as ascending
+       [key lsl 31 lor slot] codes *)
+    let fresh = Array.make n_categories [] in
+    List.iter
+      (fun (lo, hi) ->
+         for ns = lo to hi - 1 do
+           Engine.iter_slot_postings dex ns (fun c k ->
+               fresh.(c) <- ((k lsl 31) lor ns) :: fresh.(c))
+         done)
+      fresh_ranges;
+    let packed =
+      Array.mapi
+        (fun c codes ->
+           let codes = Array.of_list codes in
+           Array.sort Int.compare codes;
+           let p, carried =
+             patch_postings old_packed.(c) ~runs ~monotone codes
+           in
+           patched := !patched + carried;
+           rebuilt := !rebuilt + Array.length codes;
+           p)
+        fresh
     in
     let engine = Engine.create_packed ~mode:"delta" dex packed in
     (* carry the rule-set stamp, so an analysis under a different rule set
@@ -1143,9 +917,10 @@ let delta_of_engine old_engine program =
     let report =
       { d_total = n_classes; d_unchanged = !n_unchanged;
         d_changed = !n_changed; d_added = !n_added; d_removed = n_removed;
-        d_lines_reused = !reused_lines; d_lines_rendered = !rendered_lines;
-        d_patched_postings_bytes = 8 * !patched_bytes;
-        d_rebuilt_postings_bytes = 8 * !rebuilt_bytes }
+        d_lines_reused = !reused_lines;
+        d_lines_rendered = n_lines - !reused_lines;
+        d_patched_postings_bytes = 8 * !patched;
+        d_rebuilt_postings_bytes = 8 * !rebuilt }
     in
     Obs.Metrics.incr m_delta_loads;
     Obs.Metrics.add m_delta_reused !n_unchanged;

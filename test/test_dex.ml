@@ -92,10 +92,9 @@ let test_disasm_invoke_line () =
     (contains ~sub:"const-string v0, \"hello\"" text)
 
 let test_line_ownership () =
-  let dex = Dex.Dexfile.of_program (tiny_program ()) in
   let owned =
-    Array.to_list dex.Dex.Dexfile.lines
-    |> List.filter_map (fun (l : Dex.Disasm.line) -> l.owner)
+    Dex.Disasm.program_lines (tiny_program ())
+    |> List.filter_map (fun (l : Dex.Arena.line) -> l.owner)
   in
   Alcotest.(check bool) "instruction lines carry owners" true
     (List.exists (fun m -> String.equal m.Jsig.name "m") owned)

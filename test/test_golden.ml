@@ -56,12 +56,14 @@ let digest (dex : Dex.Dexfile.t) =
        Printf.bprintf b "%s %s\n" (Ir.Jsig.meth_to_string m)
          a.Dex.Arena.owner_cls.(i))
     a.Dex.Arena.owners;
-  let cm = dex.Dex.Dexfile.classmap in
+  let cm = Dex.Dexfile.classmap dex in
   for i = 0 to Dex.Classmap.length cm - 1 do
     Printf.bprintf b "%s %d %d %d %d %Ld %Ld\n" cm.Dex.Classmap.names.(i)
       cm.Dex.Classmap.line_lo.(i) cm.Dex.Classmap.line_hi.(i)
       cm.Dex.Classmap.slot_lo.(i) cm.Dex.Classmap.slot_hi.(i)
-      cm.Dex.Classmap.text_hash.(i) cm.Dex.Classmap.ir_hash.(i)
+      (Dex.Classmap.text_hash dex.Dex.Dexfile.texts cm.Dex.Classmap.line_lo.(i)
+         cm.Dex.Classmap.line_hi.(i))
+      cm.Dex.Classmap.ir_hash.(i)
   done;
   Digest.to_hex (Digest.string (Buffer.contents b))
 

@@ -360,8 +360,10 @@ let test_delta_engine_roundtrip () =
    callers fall back to a cold build. *)
 let test_delta_requires_classmap () =
   let app = fixture_app () in
+  let dex = app.G.dex in
   let stripped =
-    { app.G.dex with Dex.Dexfile.classmap = Dex.Classmap.empty }
+    Dex.Dexfile.v dex.Dex.Dexfile.texts dex.Dex.Dexfile.arena
+      dex.Dex.Dexfile.program
   in
   let engine = E.create ~eager:true stripped in
   match Store.Snapshot.delta_of_engine engine app.G.program with
