@@ -75,9 +75,14 @@ let primary_sink_mix : (float * Sinks.t) list =
   [ 0.5, Sinks.cipher; 0.3, Sinks.ssl_factory; 0.2, Sinks.https_conn ]
 
 let random_plant rng ~insecure_p : Generator.plant_spec =
-  { shape = weighted_choice rng performance_shape_mix;
-    sink = weighted_choice rng primary_sink_mix;
-    insecure = Rng.bool rng insecure_p }
+  (* the three draws in the order the record literal they replace evaluated
+     them (right to left), so the random stream is unchanged *)
+  let insecure = Rng.bool rng insecure_p in
+  let sink = weighted_choice rng primary_sink_mix in
+  let shape = weighted_choice rng performance_shape_mix in
+  (* the builder-spec template only builds cipher transformation strings *)
+  let sink = if shape = Shape.Builder_spec then Sinks.cipher else sink in
+  { shape; sink; insecure }
 
 (* ------------------------------------------------------------------ *)
 (* The modern-144 corpus                                                *)

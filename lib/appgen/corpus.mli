@@ -30,6 +30,11 @@ val weighted_choice : Rng.t -> (float * 'a) list -> 'a
     weighted towards the common patterns. *)
 val performance_shape_mix : (float * Shape.t) list
 val primary_sink_mix : (float * Sinks.t) list
+
+(** A plant drawn from the performance shape and primary sink mixes,
+    insecure with probability [insecure_p].  Builder-spec plants always
+    take the cipher sink: that template builds cipher transformation
+    strings only. *)
 val random_plant :
   Rng.t -> insecure_p:float -> Generator.plant_spec
 

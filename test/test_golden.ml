@@ -103,6 +103,28 @@ let test_golden () =
   in
   Alcotest.(check (list (pair string string))) "golden digests" expected got
 
+(* The decoded line view (what tools read) agrees with the dexfile: same
+   texts, and it rebuilds the same arena and class map. *)
+let test_line_view () =
+  let app = app_of_shape 5 Shape.Callback in
+  let p = app.G.program and dex = app.G.dex in
+  let lines = Array.of_list (Dex.Disasm.program_lines p) in
+  Alcotest.(check string) "texts"
+    (Dex.Dexfile.to_string dex)
+    (String.concat "" (Array.to_list (Array.map (fun (l : Dex.Arena.line) -> l.text ^ "\n") lines)));
+  let a = Dex.Arena.of_lines lines and b = dex.Dex.Dexfile.arena in
+  Alcotest.(check bool) "arena" true
+    (Ivec.equal a.line_idx b.line_idx && Ivec.equal a.stmt_idx b.stmt_idx
+     && Ivec.equal a.owner_id b.owner_id && Ivec.equal a.cat b.cat
+     && Ivec.equal a.sym b.sym && a.owners = b.owners
+     && a.owner_cls = b.owner_cls);
+  let c = Dex.Classmap.of_lines lines a p and d = Dex.Dexfile.classmap dex in
+  Alcotest.(check bool) "class map" true
+    (Dex.Classmap.(c.names = d.names && c.line_lo = d.line_lo
+                   && c.line_hi = d.line_hi && c.slot_lo = d.slot_lo
+                   && c.slot_hi = d.slot_hi && c.ir_hash = d.ir_hash))
+
 let suites =
   [ ("dex.golden",
-     [ Alcotest.test_case "disassembly digests" `Quick test_golden ]) ]
+     [ Alcotest.test_case "disassembly digests" `Quick test_golden;
+       Alcotest.test_case "decoded line view" `Quick test_line_view ]) ]

@@ -478,8 +478,44 @@ let extension_cases =
           true
           (Backdroid.Perapp_ssg.node_count per_app < sum_nodes)) ]
 
+(* Random plants (the corpus draw) are detected exactly: the insecure,
+   entry-reachable findings equal the planted flows that are insecure and
+   reachable, matched by sink API and the class holding the sink call. *)
+let test_random_plants_detected () =
+  let truth (planted : Appgen.Templates.planted list) =
+    List.filter_map
+      (fun (p : Appgen.Templates.planted) ->
+         if p.insecure && p.reachable then Some (p.sink.Sinks.name, p.sink_class)
+         else None)
+      planted
+    |> List.sort compare
+  in
+  let rng = Appgen.Rng.create 2024 in
+  for i = 1 to 100 do
+    let app =
+      G.generate
+        { G.default_config with
+          G.seed = 5000 + i;
+          name = Printf.sprintf "com.test.random%d" i;
+          filler_classes = 2;
+          plants =
+            List.init 3 (fun _ -> Appgen.Corpus.random_plant rng ~insecure_p:0.5) }
+    in
+    let found =
+      List.map
+        (fun (rep : Driver.sink_report) -> (rep.sink.Sinks.name, rep.meth.Ir.Jsig.cls))
+        (Driver.insecure_reports (analyze_app app))
+      |> List.sort compare
+    in
+    if found <> truth app.planted then
+      Alcotest.failf "%s: findings differ from the planted ground truth" app.name
+  done
+
 let suites =
-  base_suites
+  [ ("shapes.random",
+     [ Alcotest.test_case "300 random plants detected exactly" `Quick
+         test_random_plants_detected ]) ]
+  @ base_suites
   @ [ "shapes.shared", shared_cases;
       "shapes.extensions", extension_cases;
       "shapes.props", prop_cases ]

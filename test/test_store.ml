@@ -500,6 +500,49 @@ let codec_roundtrip =
            | Error _ -> ()));
        true)
 
+(* A dexfile builds its class map on first use.  Forced from four domains
+   and four threads at once on one fresh dexfile, every caller gets the one
+   table, and it equals the table a save -> load round trip reads back. *)
+let test_classmap_concurrent () =
+  let app = fixture_app ~filler:30 () in
+  let fields (cm : Dex.Classmap.t) =
+    Dex.Classmap.(cm.names, cm.line_lo, cm.line_hi, cm.slot_lo, cm.slot_hi,
+                  cm.ir_hash)
+  in
+  let reference =
+    let path = Filename.temp_file "backdroid_store" ".bdix" in
+    Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+    ignore
+      (Store.Snapshot.save ~path
+         (E.create (Dex.Dexfile.of_program app.G.program)));
+    match Store.Snapshot.load ~path app.G.program with
+    | Ok e -> Dex.Dexfile.classmap (E.dexfile e)
+    | Error e -> Alcotest.fail (Store.Codec.error_to_string e)
+  in
+  let dex = Dex.Dexfile.of_program app.G.program in
+  let n = 8 and ready = Atomic.make 0 in
+  let force () =
+    Atomic.incr ready;
+    while Atomic.get ready < n do Thread.yield () done;
+    Dex.Dexfile.classmap dex
+  in
+  let domains = List.init 4 (fun _ -> Domain.spawn force) in
+  let results = Array.make 4 None in
+  let threads =
+    List.init 4 (fun i -> Thread.create (fun () -> results.(i) <- Some (force ())) ())
+  in
+  List.iter Thread.join threads;
+  let all =
+    List.map Domain.join domains
+    @ List.map Option.get (Array.to_list results)
+  in
+  let first = List.hd all in
+  Alcotest.(check bool) "every caller got the one table" true
+    (List.for_all (fun cm -> cm == first) all);
+  Alcotest.(check bool) "non-empty" true (Dex.Classmap.length first > 10);
+  Alcotest.(check bool) "equals the save -> load round trip" true
+    (fields first = fields reference)
+
 let cases =
   [ Alcotest.test_case "corrupted snapshots fail as typed errors" `Quick
       test_rejects_corruption;
@@ -520,6 +563,8 @@ let cases =
       test_delta_engine_roundtrip;
     Alcotest.test_case "delta without a class map is a typed error" `Quick
       test_delta_requires_classmap;
+    Alcotest.test_case "class map forced from 4 domains + 4 threads" `Quick
+      test_classmap_concurrent;
     QCheck_alcotest.to_alcotest delta_equiv;
     QCheck_alcotest.to_alcotest codec_roundtrip ]
 
