@@ -62,6 +62,7 @@ let small = lazy (fixture_app ~seed:6 ~mb:5.0 ~sinks:5)
 let micro_tests () =
   let medium = Lazy.force medium and small = Lazy.force small in
   let indexed_engine = Bytesearch.Engine.create medium.G.dex in
+  let rendered = Dex.Disasm.render (Dex.Disasm.app_classes medium.G.program) in
   let scan_engine = Bytesearch.Engine.create ~indexed:false medium.G.dex in
   let sink_query =
     Bytesearch.Query.invocation
@@ -102,9 +103,15 @@ let micro_tests () =
     Test.make ~name:"search/grep-scan"
       (Staged.stage (fun () ->
            Bytesearch.Engine.run_uncached scan_engine sink_query));
-    (* ablation: preprocessing (disassembly + index build) *)
+    (* ablation: preprocessing (disassembly + index build); the class map
+       is built on demand, so it is timed on its own *)
     Test.make ~name:"preprocess/disassemble-20mb"
       (Staged.stage (fun () -> Dex.Dexfile.of_program medium.G.program));
+    Test.make ~name:"preprocess/classmap-20mb"
+      (Staged.stage (fun () ->
+           Dex.Classmap.build ~names:rendered.Dex.Disasm.class_names
+             ~starts:rendered.Dex.Disasm.class_starts rendered.Dex.Disasm.arena
+             medium.G.program));
     Test.make ~name:"preprocess/index-20mb"
       (Staged.stage (fun () -> Bytesearch.Engine.create medium.G.dex));
     (* ablation: the Sec. VI-C FN fix (hierarchy-aware initial search) *)

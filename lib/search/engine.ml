@@ -165,6 +165,9 @@ type t = {
       (** postings installed wholesale (a snapshot load or delta patch):
           the label {!index_mode} reports; [None] = built in-process *)
   tables : postings option Atomic.t array;  (** one slot per category *)
+  patch : (int -> postings) option;
+      (** builds a missing category in place of the arena scan (the delta
+          path's lazily patched index) *)
   build_us : float array;  (** per-category build cost, set under the lock *)
   build_lock : Mutex.t;
   ruleset : int option Atomic.t;
@@ -211,13 +214,26 @@ let cat_member c =
 (* A slot's class tokens: a keyed line renders its tokens only inside its
    operand (the text before the final ", " is mnemonics and registers), so
    the memoized operand tokenization covers it; an unkeyed line (check-cast,
-   new-array, ...) tokenizes its own text.  Round 1 caches them per slot
-   for round 2. *)
+   new-array, ...) tokenizes its own text, when the arena says it has any.
+   Round 1 caches them per slot for round 2. *)
 let slot_tokens (dex : Dex.Dexfile.t) slot =
   let a = dex.arena in
   let sym = Ivec.unsafe_get a.Dex.Arena.sym slot in
   if sym >= 0 then Dex.Tokens.of_operand (Sym.unsafe_of_id sym)
-  else Dex.Tokens.of_line dex.texts (Ivec.unsafe_get a.Dex.Arena.line_idx slot)
+  else
+    let text () =
+      Dex.Tokens.of_line dex.texts (Ivec.unsafe_get a.Dex.Arena.line_idx slot)
+    in
+    match a.Dex.Arena.tokened with
+    | None -> text ()
+    | Some slots ->
+      (* binary search: the recorded slots are the only candidates *)
+      let rec mem lo hi =
+        lo < hi
+        && (let m = (lo + hi) / 2 in
+            slots.(m) = slot || if slots.(m) < slot then mem (m + 1) hi else mem lo m)
+      in
+      if mem 0 (Array.length slots) then text () else [||]
 
 let iter_slot_postings (dex : Dex.Dexfile.t) slot f =
   let k = Ivec.get dex.arena.Dex.Arena.cat slot in
@@ -358,7 +374,11 @@ let ensure_category ?pool t c =
         | None ->
           let span0 = Obs.Span.start () in
           let t0 = Unix.gettimeofday () in
-          let p = build_postings ?pool t.dex c in
+          let p =
+            match t.patch with
+            | Some patch -> patch c
+            | None -> build_postings ?pool t.dex c
+          in
           t.build_us.(c) <- (Unix.gettimeofday () -. t0) *. 1e6;
           Obs.Metrics.incr m_builds;
           Obs.Metrics.add m_slots (Packed.n_slots p);
@@ -375,6 +395,7 @@ let create ?(indexed = true) ?(eager = false) ?pool dex =
     { dex; cache = Cache.create (); pool; indexed; eager = indexed && eager;
       load_mode = None;
       tables = Array.init n_categories (fun _ -> Atomic.make None);
+      patch = None;
       build_us = Array.make n_categories 0.0;
       build_lock = Mutex.create ();
       ruleset = Atomic.make None }
@@ -394,15 +415,20 @@ let export_packed t =
     delta patch) rather than built from the arena.  Queries behave exactly
     as in indexed mode; {!index_mode} reports [mode] (default
     ["snapshot"]; the delta path passes ["delta"]). *)
-let create_packed ?(mode = "snapshot") dex tables =
-  if Array.length tables <> n_categories then
-    invalid_arg "Engine.create_packed: expected one table per category";
+let installed ~mode ?patch dex tables =
   { dex; cache = Cache.create (); pool = None; indexed = true; eager = false;
-    load_mode = Some mode;
-    tables = Array.map (fun p -> Atomic.make (Some p)) tables;
+    load_mode = Some mode; tables = Array.map Atomic.make tables; patch;
     build_us = Array.make n_categories 0.0;
     build_lock = Mutex.create ();
     ruleset = Atomic.make None }
+
+let create_packed ?(mode = "snapshot") dex tables =
+  if Array.length tables <> n_categories then
+    invalid_arg "Engine.create_packed: expected one table per category";
+  installed ~mode dex (Array.map Option.some tables)
+
+let create_patched ~mode dex patch =
+  installed ~mode ~patch dex (Array.make n_categories None)
 
 let program t = t.dex.Dex.Dexfile.program
 let dexfile t = t.dex

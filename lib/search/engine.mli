@@ -89,6 +89,12 @@ val export_packed : t -> Packed.t array
     ["snapshot"]; {!Store.Snapshot}'s delta path passes ["delta"]). *)
 val create_packed : ?mode:string -> Dex.Dexfile.t -> Packed.t array -> t
 
+(** An indexed engine whose category [c] postings are [patch c], computed
+    on the category's first use (under the build lock, like a lazy build)
+    — the delta path, which patches the old version's postings only for
+    the categories a query or a save asks for. *)
+val create_patched : mode:string -> Dex.Dexfile.t -> (int -> Packed.t) -> t
+
 (** [iter_slot_postings dex slot f] calls [f c key] for every category [c]
     (an index into {!export_packed}) and key (a [Sym.id]) under which arena
     slot [slot] is posted — the rule every postings build follows, exposed

@@ -177,7 +177,10 @@ let decode_into b ~pos (dst : Ivec.t) at =
       let s = ref (next_varint b p) in
       Bigarray.Array1.unsafe_set dst at !s;
       for i = 1 to n - 1 do
-        s := !s + next_varint b p + 1;
+        (* most gaps fit one byte *)
+        let byte = u8 b !p in
+        let d = if byte < 0x80 then (incr p; byte) else next_varint b p in
+        s := !s + d + 1;
         Bigarray.Array1.unsafe_set dst (at + i) !s
       done
     end

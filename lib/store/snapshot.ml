@@ -610,7 +610,8 @@ let load ?(prefault = false) ~path program =
      let arena =
        { Dex.Arena.line_idx = p.p_line_idx; stmt_idx = p.p_stmt_idx;
          owner_id = p.p_owner_id; cat = p.p_cat; sym = p.p_sym;
-         owners = p.p_owners; owner_cls = p.p_owner_cls }
+         owners = p.p_owners; owner_cls = p.p_owner_cls;
+         tokened = None }
      in
      (* the hot sections (arena columns + postings directories) are
         always prefaulted — they are small and every query planner pass
@@ -669,25 +670,12 @@ let delta_report_to_string d =
     d.d_lines_reused d.d_lines_rendered d.d_patched_postings_bytes
     d.d_rebuilt_postings_bytes
 
-(* Key run [\[lo, hi)] of [slots] holds carried slots, each ascending,
-   then fresh ones: sort it when both are present, or when the old->new
-   slot map is not monotone (an old multidex build, laid out in partition
-   order). *)
-let settle slots ~lo ~mid ~hi ~monotone =
-  if (mid > lo && hi > mid) || ((not monotone) && hi - lo > 1) then begin
-    let a = Array.init (hi - lo) (fun i -> iget slots (lo + i)) in
-    Array.sort compare a;
-    Array.iteri (fun i x -> iset slots (lo + i) x) a
-  end
-
 (* One category's postings for the patched build, CSR to CSR: the old rows
    carried through [runs] (the old engine's keys are already live symbol
    ids), the reused ranges of old slots as [(lo, hi, shift)] sorted by
    [lo] — a slot outside them belongs to a removed or re-rendered class and
-   is dropped — merged
-   key by key with [fresh], the re-rendered classes' entries as ascending
-   [key lsl 31 lor slot] codes.  Returns the postings and the number of
-   entries carried. *)
+   is dropped — merged key by key with [fresh], the re-rendered classes'
+   entries as ascending [key lsl 31 lor slot] codes. *)
 let patch_postings (old_p : Packed.t) ~runs ~monotone
     (fresh : int array) =
   let nk_old = Packed.n_keys old_p and nf = Array.length fresh in
@@ -730,26 +718,30 @@ let patch_postings (old_p : Packed.t) ~runs ~monotone
       incr fi
     done;
     if !pos > lo then begin
-      settle slots ~lo ~mid ~hi:!pos ~monotone;
+      (* carried slots ascend, then fresh ones: sort the run when both are
+         present, or when the slot map is not monotone (an old multidex
+         build, laid out in partition order) *)
+      if (mid > lo && !pos > mid) || ((not monotone) && !pos - lo > 1) then begin
+        let a = Array.init (!pos - lo) (fun i -> iget slots (lo + i)) in
+        Array.sort compare a;
+        Array.iteri (fun i x -> iset slots (lo + i) x) a
+      end;
       iset keys !nk k;
       incr nk;
       iset offsets !nk !pos
     end
   done;
   let sub v n = Bigarray.Array1.sub v 0 n in
-  ( { Packed.keys = sub keys !nk; offsets = sub offsets (!nk + 1);
-      body = Packed.Flat (sub slots !pos) },
-    !pos - nf )
+  { Packed.keys = sub keys !nk; offsets = sub offsets (!nk + 1);
+    body = Packed.Flat (sub slots !pos) }
 
-(* Patch a resident engine into an engine for [program].  This is the
-   maintained-index scenario — an app-store service holding the previous
-   version's index in memory, or the corpus cache that just loaded and
-   freshness-checked a snapshot — and the core of the delta path: it works
-   purely on live structures, so there is no file parse and no symbol
-   re-interning (a live engine's ids are by definition the live ones).
-   Unchanged classes contribute their old text bytes and arena rows as
-   whole ranges; only changed and added classes are rendered, straight
-   into the new blob and arena.  The old engine is left untouched. *)
+(* Patch a resident engine into an engine for [program] — the
+   maintained-index scenario, and the core of the delta path.  It works on
+   live structures: no file parse, no symbol re-interning (a live engine's
+   ids are the live ones).  Unchanged classes contribute their old text
+   bytes and arena rows as whole ranges; only changed and added classes are
+   rendered, straight into the new blob and arena.  The old engine is left
+   untouched. *)
 let delta_of_engine old_engine program =
   let span0 = Obs.Span.start () in
   let dex_old = Engine.dexfile old_engine in
@@ -883,10 +875,11 @@ let delta_of_engine old_engine program =
     let runs = Array.of_list !runs in
     Array.sort compare runs;
     let fresh_ranges = List.rev !fresh_ranges in
-    let old_packed = Engine.export_packed old_engine in
-    let patched = ref 0 and rebuilt = ref 0 in
-    (* the re-rendered classes' entries, per category, as ascending
-       [key lsl 31 lor slot] codes *)
+    (* The postings are patched per category on its first use (a replayed
+       analysis asks for one or two).  The report counts them now: the old
+       entries minus those of the old slots no run carries, and the
+       re-rendered slots' entries — per category, as [key lsl 31 lor slot]
+       codes. *)
     let fresh = Array.make n_categories [] in
     List.iter
       (fun (lo, hi) ->
@@ -895,20 +888,30 @@ let delta_of_engine old_engine program =
                fresh.(c) <- ((k lsl 31) lor ns) :: fresh.(c))
          done)
       fresh_ranges;
-    let packed =
-      Array.mapi
-        (fun c codes ->
-           let codes = Array.of_list codes in
-           Array.sort Int.compare codes;
-           let p, carried =
-             patch_postings old_packed.(c) ~runs ~monotone codes
-           in
-           patched := !patched + carried;
-           rebuilt := !rebuilt + Array.length codes;
-           p)
-        fresh
+    let old = Array.map Option.some (Engine.export_packed old_engine) in
+    let dropped lo hi =
+      let n = ref 0 in
+      for s = lo to hi - 1 do
+        Engine.iter_slot_postings dex_old s (fun _ _ -> incr n)
+      done;
+      !n
     in
-    let engine = Engine.create_packed ~mode:"delta" dex packed in
+    let carried =
+      Array.fold_left (fun n p -> n + Packed.n_slots (Option.get p)) 0 old
+      - snd
+          (Array.fold_left
+             (fun (next, n) (lo, hi, _) -> (hi, n + dropped next lo))
+             (0, 0) runs)
+      - dropped (Array.fold_left (fun _ (_, hi, _) -> hi) 0 runs) old_n_slots
+    in
+    let engine =
+      Engine.create_patched ~mode:"delta" dex (fun c ->
+          let codes = Array.of_list fresh.(c) in
+          Array.sort Int.compare codes;
+          let p = patch_postings (Option.get old.(c)) ~runs ~monotone codes in
+          old.(c) <- None;  (* the old table is no longer needed *)
+          p)
+    in
     (* carry the rule-set stamp, so an analysis under a different rule set
        sees `Changed` and warns instead of silently trusting warm state *)
     (match Engine.ruleset_stamp old_engine with
@@ -919,8 +922,9 @@ let delta_of_engine old_engine program =
         d_changed = !n_changed; d_added = !n_added; d_removed = n_removed;
         d_lines_reused = !reused_lines;
         d_lines_rendered = n_lines - !reused_lines;
-        d_patched_postings_bytes = 8 * !patched;
-        d_rebuilt_postings_bytes = 8 * !rebuilt }
+        d_patched_postings_bytes = 8 * carried;
+        d_rebuilt_postings_bytes =
+          8 * Array.fold_left (fun n l -> n + List.length l) 0 fresh }
     in
     Obs.Metrics.incr m_delta_loads;
     Obs.Metrics.add m_delta_reused !n_unchanged;

@@ -1,10 +1,10 @@
 (** Persistent preprocessing snapshots (warm-start store).
 
     A snapshot captures everything the preprocessing phase computes from a
-    program — the interned symbol table, the disassembled plaintext lines,
-    the hit {!Dex.Arena}, all seven per-category search postings, the
-    per-class {!Dex.Classmap} (line/slot ranges plus text and IR content
-    hashes) and, optionally, persisted per-sink analysis results — in one
+    program — the interned symbol table, the dexdump text blob, the hit
+    {!Dex.Arena}, all seven per-category search postings, the per-class
+    {!Dex.Classmap} (line/slot ranges plus text and IR content hashes)
+    and, optionally, persisted per-sink analysis results — in one
     {!Codec} container, so a warm start maps it back instead of
     disassembling and indexing again.  Int-array payloads load as mmapped
     {!Ivec.t}s: they live off the OCaml heap, so the warm path also carries
@@ -18,9 +18,8 @@
     the postings to live ids, so a warm engine always returns hits
     byte-identical to a cold one.
 
-    Loaded plaintext lines carry [K_none]/no tokens (the postings that
-    needed them are already built), which only matters if a snapshot
-    dexfile were re-indexed from scratch — it never is. *)
+    A loaded dexfile is the mapped text blob and arena as they are: no
+    per-line metadata is rebuilt. *)
 
 (** [default_path ~dir ~app_id] is the conventional snapshot location:
     [dir]/[sanitized app_id].v[format_version].bdix.  The version is baked
@@ -107,10 +106,10 @@ val delta_report_to_string : delta_report -> string
 (** [delta_of_engine old program] patches a {e resident} engine — the
     previous app version's index, still in memory — into an engine for
     [program]: classes whose structural {!Ir.Irhash} matches the old
-    engine's classmap entry keep their line records (shared by reference),
-    text bytes, arena rows and postings entries; only changed or added
-    classes are rendered and indexed, and the affected postings CSR rows
-    are patched.  No file I/O, no parsing, no symbol re-interning — this
+    engine's classmap entry keep their text-blob byte ranges, arena rows
+    and postings entries, copied as whole runs; only changed or added
+    classes are rendered, straight into the new blob and arena, and the
+    postings are remapped CSR to CSR.  No file I/O, no parsing, no symbol re-interning — this
     is the maintained-index fast path an app store uses when version N+1
     of an app arrives while version N's index is warm, and what the corpus
     cache uses to upgrade a stale snapshot it has already loaded.  The old
