@@ -876,7 +876,7 @@ let delta_of_engine old_engine program =
     Array.sort compare runs;
     let fresh_ranges = List.rev !fresh_ranges in
     (* The postings are patched per category on its first use (a replayed
-       analysis asks for one or two).  The report counts them now: the old
+       analysis asks for one or two).  The report counts them up front: the old
        entries minus those of the old slots no run carries, and the
        re-rendered slots' entries — per category, as [key lsl 31 lor slot]
        codes. *)

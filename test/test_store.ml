@@ -456,6 +456,21 @@ let gen_slots =
 
 let print_slots l = String.concat "," (List.map string_of_int l)
 
+(* A varint may carry bit 62, OCaml's sign bit: a run whose first slot or
+   gap decodes negative is rejected, never handed to the unchecked
+   readers. *)
+let test_codec_rejects_negative_slots () =
+  let neg = "\xff\xff\xff\xff\xff\xff\xff\xff\x40" in
+  let run parts = Bvec.of_string (String.concat "" parts) in
+  List.iter
+    (fun (what, b) ->
+       match PC.validate b ~pos:0 ~limit:(Bvec.length b) ~max_slot:1000 with
+       | Ok _ -> Alcotest.failf "%s validated" what
+       | Error _ -> ())
+    [ ("negative first slot", run [ "\x01\x00"; neg ]);
+      ("negative gap", run [ "\x02\x00\x05"; neg ]);
+      ("negative bitmap base", run [ "\x01\x01"; neg; "\x01"; "\x01\x00\x00\x00\x00\x00\x00\x00" ]) ]
+
 let codec_roundtrip =
   QCheck.Test.make ~name:"postcodec encode/validate/iter round-trip"
     ~count:500
@@ -566,6 +581,8 @@ let cases =
     Alcotest.test_case "class map forced from 4 domains + 4 threads" `Quick
       test_classmap_concurrent;
     QCheck_alcotest.to_alcotest delta_equiv;
+    Alcotest.test_case "postcodec rejects negative slots" `Quick
+      test_codec_rejects_negative_slots;
     QCheck_alcotest.to_alcotest codec_roundtrip ]
 
 let suites = [ "store.snapshot", cases ]
