@@ -515,6 +515,37 @@ let codec_roundtrip =
            | Error _ -> ()));
        true)
 
+(* A multidex v1 lays classes out in partition order, v2 in name order, so
+   the old->new slot map is not monotone: the delta still yields the cold
+   build's text and postings. *)
+let test_delta_from_multidex () =
+  let app =
+    G.generate
+      { G.default_config with
+        G.seed = 77; name = "com.test.multidex"; filler_classes = 70;
+        multidex = true;
+        plants =
+          [ { G.shape = Appgen.Shape.Callback; sink = Framework.Sinks.cipher;
+              insecure = true } ] }
+  in
+  let v2 = G.mutate ~pct:0.2 app in
+  match Store.Snapshot.delta_of_engine (E.create ~eager:true app.G.dex) v2.G.program with
+  | Error e -> Alcotest.fail (Store.Codec.error_to_string e)
+  | Ok (delta, _) ->
+    let postings e =
+      Array.map
+        (fun (p : E.Packed.t) ->
+           List.init (E.Packed.n_keys p) (fun k ->
+               let slots = ref [] in
+               E.Packed.iter_key p k (fun s -> slots := s :: !slots);
+               (Ivec.get p.E.Packed.keys k, List.rev !slots)))
+        (E.export_packed e)
+    in
+    Alcotest.(check string) "text" (Dex.Dexfile.to_string v2.G.dex)
+      (Dex.Dexfile.to_string (E.dexfile delta));
+    Alcotest.(check bool) "postings" true
+      (postings delta = postings (E.create ~eager:true v2.G.dex))
+
 (* A dexfile builds its class map on first use.  Forced from four domains
    and four threads at once on one fresh dexfile, every caller gets the one
    table, and it equals the table a save -> load round trip reads back. *)
@@ -580,6 +611,8 @@ let cases =
       test_delta_requires_classmap;
     Alcotest.test_case "class map forced from 4 domains + 4 threads" `Quick
       test_classmap_concurrent;
+    Alcotest.test_case "delta from a multidex build == cold" `Quick
+      test_delta_from_multidex;
     QCheck_alcotest.to_alcotest delta_equiv;
     Alcotest.test_case "postcodec rejects negative slots" `Quick
       test_codec_rejects_negative_slots;
