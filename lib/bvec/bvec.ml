@@ -22,7 +22,11 @@ let of_string s =
 let sub_string v pos len =
   if pos < 0 || len < 0 || pos + len > length v then
     invalid_arg "Bvec.sub_string";
-  String.init len (fun i -> unsafe_get v (pos + i))
+  let b = Bytes.create len in
+  for i = 0 to len - 1 do
+    Bytes.unsafe_set b i (unsafe_get v (pos + i))
+  done;
+  Bytes.unsafe_to_string b
 
 let to_string v = sub_string v 0 (length v)
 

@@ -319,10 +319,10 @@ let slot_operand_class ~cat ~sym_id =
   else
     let s = Sym.to_string (Sym.unsafe_of_id sym_id) in
     try
-      if
-        cat = Dex.Arena.cat_invoke || cat = Dex.Arena.cat_field
-        || cat = Dex.Arena.cat_static_field
-      then Some (Dex.Descriptor.member_class s)
+      if cat = Dex.Arena.cat_invoke then
+        Some (Sigformat.of_dex_meth s).Ir.Jsig.cls
+      else if cat = Dex.Arena.cat_field || cat = Dex.Arena.cat_static_field
+      then Some (Sigformat.of_dex_field s).Ir.Jsig.fcls
       else if cat = Dex.Arena.cat_new_instance
               || cat = Dex.Arena.cat_const_class
       then Some (Sigformat.of_dex_class s)

@@ -29,9 +29,6 @@ type t = {
   sym : Ivec.t;       (** slot -> [Sym.id] of the operand; [-1] = unkeyed *)
   owners : Ir.Jsig.meth array;      (** unique enclosing methods *)
   owner_cls : string array;         (** enclosing class, parallel to [owners] *)
-  tokened : int array option;
-      (** ascending unkeyed slots whose text holds a class descriptor;
-          [None] = not recorded (read the text) *)
 }
 
 let length t = Ivec.length t.line_idx
@@ -50,7 +47,6 @@ module Builder = struct
     mutable n_owners : int;
     base_owners : Ir.Jsig.meth array;
     base_owner_cls : string array;
-    mutable tokened : int list option;  (* newest first *)
   }
 
   let create ?(slots = 64) ?(owners = ([||], [||])) ?(seed = []) () =
@@ -59,7 +55,7 @@ module Builder = struct
     List.iter (fun i -> Ir.Jsig.Meth_tbl.replace tbl base_owners.(i) i) seed;
     { n = 0; cols = Array.init 5 (fun _ -> Ivec.create (max 16 slots)); tbl;
       owners = []; owner_cls = []; n_owners = Array.length base_owners;
-      base_owners; base_owner_cls; tokened = Some [] }
+      base_owners; base_owner_cls }
 
   let length b = b.n
 
@@ -98,12 +94,8 @@ module Builder = struct
     Bigarray.Array1.unsafe_set c.(4) s sym;
     b.n <- s + 1
 
-  let mark_tokened b =
-    b.tokened <- Option.map (fun l -> (b.n - 1) :: l) b.tokened
-
   let add_slots b (a : arena) ~lo ~hi ~line_shift =
     let k = hi - lo in
-    b.tokened <- None;
     if k > 0 then begin
       reserve b k;
       List.iteri
@@ -127,8 +119,7 @@ module Builder = struct
       sym = col 4;
       owners = Array.append b.base_owners (Array.of_list (List.rev b.owners));
       owner_cls =
-        Array.append b.base_owner_cls (Array.of_list (List.rev b.owner_cls));
-      tokened = Option.map (fun l -> Array.of_list (List.rev l)) b.tokened }
+        Array.append b.base_owner_cls (Array.of_list (List.rev b.owner_cls)) }
 end
 
 let empty = Builder.finish (Builder.create ())
@@ -150,8 +141,6 @@ let of_lines (lines : line array) =
        | None -> ()
        | Some m ->
          Builder.add b ~line:i ~stmt:l.stmt ~owner:(Builder.owner b m l.cls)
-           ~cat:l.line_cat ~sym:l.line_sym;
-         if l.line_cat = cat_none && String.contains l.text ';' then
-           Builder.mark_tokened b)
+           ~cat:l.line_cat ~sym:l.line_sym)
     lines;
   Builder.finish b

@@ -29,10 +29,6 @@ type t = {
   sym : Ivec.t;       (** slot -> [Sym.id] of the operand; [-1] = unkeyed *)
   owners : Ir.Jsig.meth array;  (** unique enclosing methods *)
   owner_cls : string array;     (** enclosing class, parallel to [owners] *)
-  tokened : int array option;
-      (** ascending unkeyed slots whose text holds a class descriptor (the
-          only unkeyed lines with class tokens), recorded when rendered;
-          [None] = not recorded, read the text *)
 }
 
 (** Number of slots. *)
@@ -67,12 +63,8 @@ module Builder : sig
 
   val add : t -> line:int -> stmt:int -> owner:int -> cat:int -> sym:int -> unit
 
-  (** Record the last slot added in [tokened]. *)
-  val mark_tokened : t -> unit
-
   (** Append slots [\[lo, hi)] of an arena, shifting their [line_idx] by
-      [line_shift]; owner ids are copied as they are.  The finished arena's
-      [tokened] is then [None]. *)
+      [line_shift]; owner ids are copied as they are. *)
   val add_slots : t -> arena -> lo:int -> hi:int -> line_shift:int -> unit
 
   (** The finished arena.  The builder must not be used afterwards. *)

@@ -66,11 +66,6 @@ let field_desc (f : Ir.Jsig.field) =
   Printf.sprintf "%s.%s:%s" (class_desc f.fcls) f.fname (type_desc f.fty)
 
 (** Parse a dexdump method signature back into IR form (step 3 of Fig. 3). *)
-let member_class s =
-  match String.index_opt s '.' with
-  | Some dot -> class_of_desc (String.sub s 0 dot)
-  | None -> invalid_arg (Printf.sprintf "Descriptor.member_class: %S" s)
-
 let meth_of_desc s =
   let fail () = invalid_arg (Printf.sprintf "Descriptor.meth_of_desc: %S" s) in
   match String.index_opt s '.' with

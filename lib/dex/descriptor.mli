@@ -22,10 +22,6 @@ val field_desc : Ir.Jsig.field -> string
 
 (** Parse a dexdump method signature back into IR form (step 3 of Fig. 3). *)
 val meth_of_desc : string -> Ir.Jsig.meth
-
-(** The declaring class of a method or field descriptor (the part before
-    its first ['.']), without parsing the rest. *)
-val member_class : string -> string
 val field_of_desc : string -> Ir.Jsig.field
 
 (** Interned (hash-consed) descriptors — memoized renderings of

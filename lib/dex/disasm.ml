@@ -93,8 +93,6 @@ let line st ?(cat = Arena.cat_none) ?sym mn ops =
   List.iteri (fun i o -> str st (if i = 0 then " " else ", "); str st o) ops;
   A.add st.ab ~line:(B.lines st.tb) ~stmt:st.stmt ~owner:st.owner ~cat
     ~sym:(match sym with Some s -> Sym.id s | None -> -1);
-  if sym = None && List.exists (fun o -> String.contains o ';') ops then
-    A.mark_tokened st.ab;
   B.end_line st.tb
 
 let keyed st cat sym mn ops = line st ~cat ~sym mn (ops @ [ Sym.to_string sym ])

@@ -1,17 +1,13 @@
 type t = { blob : Bvec.t; offs : Ivec.t }
 
-(* Direct element access: the [Bigarray] primitives compile inline at a
-   known element kind, where a call into [Bvec]/[Ivec] would not. *)
-let bget (b : Bvec.t) i = Bigarray.Array1.unsafe_get b i
-let iget (v : Ivec.t) i = Bigarray.Array1.unsafe_get v i
-
 let create ~blob ~offs =
   let n = Ivec.length offs - 1 in
   if n < 0 then invalid_arg "Textstore.create: empty offsets";
   if Ivec.get offs 0 <> 0 then
     invalid_arg "Textstore.create: offsets must start at 0";
   for i = 0 to n - 1 do
-    if iget offs (i + 1) < iget offs i then
+    let lo = Bigarray.Array1.unsafe_get offs i in
+    if Bigarray.Array1.unsafe_get offs (i + 1) < lo then
       invalid_arg "Textstore.create: offsets not ascending"
   done;
   if Ivec.get offs n <> Bvec.length blob then
@@ -23,23 +19,22 @@ let empty = { blob = Bvec.create 0; offs = Ivec.make 1 0 }
 let blob t = t.blob
 let offsets t = t.offs
 let count t = Ivec.length t.offs - 1
-let start t i = iget t.offs i
-let length_at t i = iget t.offs (i + 1) - iget t.offs i
+let start t i = Ivec.unsafe_get t.offs i
+let length_at t i = Ivec.unsafe_get t.offs (i + 1) - Ivec.unsafe_get t.offs i
 
 let get t i =
   if i < 0 || i >= count t then invalid_arg "Textstore.get";
-  let lo = start t i in
-  let s = Bytes.create (length_at t i) in
-  for j = 0 to Bytes.length s - 1 do
-    Bytes.unsafe_set s j (bget t.blob (lo + j))
-  done;
-  Bytes.unsafe_to_string s
+  Bvec.sub_string t.blob (start t i) (length_at t i)
 
 let index_char t i c =
-  let lo = start t i and hi = iget t.offs (i + 1) in
-  let p = ref lo in
-  while !p < hi && bget t.blob !p <> c do incr p done;
-  if !p < hi then !p - lo else -1
+  let lo = start t i in
+  let hi = lo + length_at t i in
+  let rec go p =
+    if p >= hi then -1
+    else if Bigarray.Array1.unsafe_get t.blob p = c then p - lo
+    else go (p + 1)
+  in
+  go lo
 
 let starts_with t i ~pos ~prefix =
   pos >= 0
@@ -71,21 +66,21 @@ let iter_matches t ~pat f =
       let last = String.unsafe_get pat (lp - 1) in
       let rec eq_prefix ms j =
         j >= lp - 1
-        || (bget blob (ms + j) = String.unsafe_get pat j
+        || (Bvec.unsafe_get blob (ms + j) = String.unsafe_get pat j
             && eq_prefix ms (j + 1))
       in
       let line = ref 0 in
       let p = ref (lp - 1) in
       while !p < n do
-        let c = bget blob !p in
+        let c = Bvec.unsafe_get blob !p in
         if c = last && eq_prefix (!p - (lp - 1)) 0 then begin
           let mstart = !p - (lp - 1) in
           while
-            !line < nlines - 1 && iget t.offs (!line + 1) <= mstart
+            !line < nlines - 1 && Ivec.unsafe_get t.offs (!line + 1) <= mstart
           do
             incr line
           done;
-          let line_end = iget t.offs (!line + 1) in
+          let line_end = Ivec.unsafe_get t.offs (!line + 1) in
           if mstart + lp <= line_end then begin
             f !line;
             (* the rest of this line is already reported: resume where a
@@ -155,17 +150,18 @@ module Builder = struct
   let add_lines b (s : store) ~lo ~hi =
     let n = hi - lo in
     if n > 0 then begin
-      let o_lo = iget s.offs lo in
-      let len = iget s.offs hi - o_lo in
+      let o_lo = Ivec.get s.offs lo in
+      let len = Ivec.get s.offs hi - o_lo in
       reserve b len;
       reserve_lines b n;
       Bigarray.Array1.blit
         (Bigarray.Array1.sub s.blob o_lo len)
         (Bigarray.Array1.sub b.buf b.len len);
       let shift = b.len - o_lo in
-      let ends = b.ends and base = b.lines in
+      let ends = b.ends and offs = s.offs and base = b.lines in
       for i = 1 to n do
-        Bigarray.Array1.unsafe_set ends (base + i) (iget s.offs (lo + i) + shift)
+        Bigarray.Array1.unsafe_set ends (base + i)
+          (Bigarray.Array1.unsafe_get offs (lo + i) + shift)
       done;
       b.len <- b.len + len;
       b.lines <- b.lines + n

@@ -60,13 +60,6 @@ let count_by_family names =
        | None -> None)
     Rules.Builtin.family_names
 
-(* Every timed run starts from a collected heap, as a one-shot run in a
-   fresh process would: otherwise a tool pays, inside its timing, for the
-   garbage of the app's generation or of the tool timed before it.  Under
-   [jobs > 1] the collection pauses the other domains, whose timings that
-   mode already gives up on. *)
-let settle () = Gc.full_major ()
-
 let time f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
@@ -76,7 +69,6 @@ let mb_of app = G.size_mb ~stmts_per_mb:Appgen.Corpus.stmts_per_mb app
 
 let run_backdroid ?(cfg = Backdroid.Driver.default_config) ?engine
     (app : G.app) =
-  settle ();
   let r, secs =
     time (fun () ->
         Backdroid.Driver.analyze ~cfg ?engine ~dex:app.G.dex
@@ -119,7 +111,6 @@ let run_backdroid ?(cfg = Backdroid.Driver.default_config) ?engine
 
 let run_amandroid ?(cfg = Baseline.Amandroid.default_config) ~timeout_s
     (app : G.app) =
-  settle ();
   let deadline = Unix.gettimeofday () +. timeout_s in
   let cfg = { cfg with Baseline.Amandroid.deadline = Some deadline } in
   let r, secs =
@@ -166,7 +157,6 @@ let run_amandroid ?(cfg = Baseline.Amandroid.default_config) ~timeout_s
 
 let run_flowdroid_cg ?(cfg = Baseline.Flowdroid_cg.default_config) ~timeout_s
     (app : G.app) =
-  settle ();
   let deadline = Unix.gettimeofday () +. timeout_s in
   let cfg = { cfg with Baseline.Flowdroid_cg.deadline = Some deadline } in
   let outcome, secs =

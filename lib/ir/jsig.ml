@@ -54,31 +54,29 @@ let meth_of_string s =
   let s = String.trim s in
   let n = String.length s in
   if n < 2 || s.[0] <> '<' || s.[n - 1] <> '>' then fail ();
-  (* one pass of index arithmetic over [s]; only the names are copied *)
-  let rec find c i hi =
-    if i >= hi then fail () else if s.[i] = c then i else find c (i + 1) hi
-  in
-  let colon = find ':' 1 (n - 1) in
-  let lo = ref (colon + 1) and hi = ref (n - 1) in
-  while !lo < !hi && Types.is_space s.[!lo] do incr lo done;
-  while !hi > !lo && Types.is_space s.[!hi - 1] do decr hi done;
-  let sp = find ' ' !lo !hi in
-  let lp = find '(' (sp + 1) !hi in
-  let rec rfind i = if i <= lp then fail () else if s.[i] = ')' then i else rfind (i - 1) in
-  let rp = rfind (!hi - 1) in
-  (* the comma-separated types of [s.[i .. rp-1]] *)
-  let rec params i =
-    let j = match String.index_from_opt s i ',' with Some j when j < rp -> j | _ -> rp in
-    let t = Types.of_sub s i j in
-    t :: (if j = rp then [] else params (j + 1))
-  in
-  let blank = ref true in
-  for i = lp + 1 to rp - 1 do if not (Types.is_space s.[i]) then blank := false done;
-  let ret = Types.of_sub s !lo sp in
-  { cls = String.sub s 1 (colon - 1);
-    name = String.sub s (sp + 1) (lp - sp - 1);
-    params = (if !blank then [] else params (lp + 1));
-    ret }
+  let inner = String.sub s 1 (n - 2) in
+  match String.index_opt inner ':' with
+  | None -> fail ()
+  | Some colon ->
+    let cls = String.sub inner 0 colon in
+    let rest = String.trim (String.sub inner (colon + 1) (String.length inner - colon - 1)) in
+    (match String.index_opt rest ' ' with
+     | None -> fail ()
+     | Some sp ->
+       let ret = Types.of_string (String.sub rest 0 sp) in
+       let rest = String.sub rest (sp + 1) (String.length rest - sp - 1) in
+       (match String.index_opt rest '(' with
+        | None -> fail ()
+        | Some lp ->
+          let name = String.sub rest 0 lp in
+          let rp = String.rindex rest ')' in
+          let args = String.sub rest (lp + 1) (rp - lp - 1) in
+          let params =
+            if String.trim args = "" then []
+            else
+              String.split_on_char ',' args |> List.map Types.of_string
+          in
+          { cls; name; params; ret }))
 
 let pp_meth ppf m = Fmt.string ppf (meth_to_string m)
 let pp_field ppf f = Fmt.string ppf (field_to_string f)

@@ -57,42 +57,29 @@ let rec to_string = function
   | Array e -> to_string e ^ "[]"
 
 (** Parse the Java source notation produced by {!to_string}. *)
-let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012'
-
-(* [of_string (String.sub s lo (hi - lo))], copying only an object type's
-   class name: trim, strip trailing "[]" pairs, then the base name. *)
-let of_sub s lo hi =
-  let lo = ref lo and hi = ref hi in
-  while !lo < !hi && is_space s.[!lo] do incr lo done;
-  while !hi > !lo && is_space s.[!hi - 1] do decr hi done;
-  let dims = ref 0 in
-  while !hi - !lo >= 2 && s.[!hi - 2] = '[' && s.[!hi - 1] = ']' do
-    hi := !hi - 2;
-    incr dims
-  done;
-  let lo = !lo and len = !hi - !lo in
-  let is kw =
-    String.length kw = len
-    &&
-    let rec eq i = i >= len || (s.[lo + i] = kw.[i] && eq (i + 1)) in
-    eq 0
-  in
-  let base =
-    if is "void" then Void
-    else if is "boolean" then Boolean
-    else if is "byte" then Byte
-    else if is "char" then Char
-    else if is "short" then Short
-    else if is "int" then Int
-    else if is "long" then Long
-    else if is "float" then Float
-    else if is "double" then Double
-    else Object (String.sub s lo len)
-  in
+let of_string s =
   let rec wrap n t = if n = 0 then t else wrap (n - 1) (Array t) in
-  wrap !dims base
-
-let of_string s = of_sub s 0 (String.length s)
+  let rec count_arrays s n =
+    let len = String.length s in
+    if len >= 2 && String.sub s (len - 2) 2 = "[]" then
+      count_arrays (String.sub s 0 (len - 2)) (n + 1)
+    else s, n
+  in
+  let base, dims = count_arrays (String.trim s) 0 in
+  let t =
+    match base with
+    | "void" -> Void
+    | "boolean" -> Boolean
+    | "byte" -> Byte
+    | "char" -> Char
+    | "short" -> Short
+    | "int" -> Int
+    | "long" -> Long
+    | "float" -> Float
+    | "double" -> Double
+    | c -> Object c
+  in
+  wrap dims t
 
 let pp ppf t = Fmt.string ppf (to_string t)
 

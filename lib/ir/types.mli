@@ -27,13 +27,6 @@ val to_string : t -> string
 
 (** Parse the Java source notation produced by {!to_string}. *)
 val of_string : string -> t
-
-(** The whitespace {!String.trim} strips. *)
-val is_space : char -> bool
-
-(** [of_sub s lo hi] is [of_string (String.sub s lo (hi - lo))] without
-    the copy. *)
-val of_sub : string -> int -> int -> t
 val pp : Format.formatter -> t -> unit
 val object_ : t
 val string_ : t

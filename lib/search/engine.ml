@@ -100,18 +100,6 @@ module Packed = struct
       done
     | Coded b -> Postcodec.iter b ~pos:(Ivec.get t.offsets k) f
 
-  (** Write key index [k]'s slots into [dst] from index [at], ascending;
-      returns their count.  [dst] must have room for them. *)
-  let blit_key t k (dst : Ivec.t) at =
-    match t.body with
-    | Flat slots ->
-      let lo = Ivec.get t.offsets k and hi = Ivec.get t.offsets (k + 1) in
-      for i = lo to hi - 1 do
-        Bigarray.Array1.set dst (at + i - lo) (Ivec.unsafe_get slots i)
-      done;
-      hi - lo
-    | Coded b -> Postcodec.decode_into b ~pos:(Ivec.get t.offsets k) dst at
-
   let n_slots t =
     match t.body with
     | Flat slots -> Ivec.length slots
@@ -165,9 +153,6 @@ type t = {
       (** postings installed wholesale (a snapshot load or delta patch):
           the label {!index_mode} reports; [None] = built in-process *)
   tables : postings option Atomic.t array;  (** one slot per category *)
-  patch : (int -> postings) option;
-      (** builds a missing category in place of the arena scan (the delta
-          path's lazily patched index) *)
   build_us : float array;  (** per-category build cost, set under the lock *)
   build_lock : Mutex.t;
   ruleset : int option Atomic.t;
@@ -214,26 +199,13 @@ let cat_member c =
 (* A slot's class tokens: a keyed line renders its tokens only inside its
    operand (the text before the final ", " is mnemonics and registers), so
    the memoized operand tokenization covers it; an unkeyed line (check-cast,
-   new-array, ...) tokenizes its own text, when the arena says it has any.
-   Round 1 caches them per slot for round 2. *)
+   new-array, ...) tokenizes its own text.  Round 1 caches them per slot
+   for round 2. *)
 let slot_tokens (dex : Dex.Dexfile.t) slot =
   let a = dex.arena in
   let sym = Ivec.unsafe_get a.Dex.Arena.sym slot in
   if sym >= 0 then Dex.Tokens.of_operand (Sym.unsafe_of_id sym)
-  else
-    let text () =
-      Dex.Tokens.of_line dex.texts (Ivec.unsafe_get a.Dex.Arena.line_idx slot)
-    in
-    match a.Dex.Arena.tokened with
-    | None -> text ()
-    | Some slots ->
-      (* binary search: the recorded slots are the only candidates *)
-      let rec mem lo hi =
-        lo < hi
-        && (let m = (lo + hi) / 2 in
-            slots.(m) = slot || if slots.(m) < slot then mem (m + 1) hi else mem lo m)
-      in
-      if mem 0 (Array.length slots) then text () else [||]
+  else Dex.Tokens.of_line dex.texts (Ivec.unsafe_get a.Dex.Arena.line_idx slot)
 
 let iter_slot_postings (dex : Dex.Dexfile.t) slot f =
   let k = Ivec.get dex.arena.Dex.Arena.cat slot in
@@ -374,11 +346,7 @@ let ensure_category ?pool t c =
         | None ->
           let span0 = Obs.Span.start () in
           let t0 = Unix.gettimeofday () in
-          let p =
-            match t.patch with
-            | Some patch -> patch c
-            | None -> build_postings ?pool t.dex c
-          in
+          let p = build_postings ?pool t.dex c in
           t.build_us.(c) <- (Unix.gettimeofday () -. t0) *. 1e6;
           Obs.Metrics.incr m_builds;
           Obs.Metrics.add m_slots (Packed.n_slots p);
@@ -395,7 +363,6 @@ let create ?(indexed = true) ?(eager = false) ?pool dex =
     { dex; cache = Cache.create (); pool; indexed; eager = indexed && eager;
       load_mode = None;
       tables = Array.init n_categories (fun _ -> Atomic.make None);
-      patch = None;
       build_us = Array.make n_categories 0.0;
       build_lock = Mutex.create ();
       ruleset = Atomic.make None }
@@ -415,20 +382,15 @@ let export_packed t =
     delta patch) rather than built from the arena.  Queries behave exactly
     as in indexed mode; {!index_mode} reports [mode] (default
     ["snapshot"]; the delta path passes ["delta"]). *)
-let installed ~mode ?patch dex tables =
-  { dex; cache = Cache.create (); pool = None; indexed = true; eager = false;
-    load_mode = Some mode; tables = Array.map Atomic.make tables; patch;
-    build_us = Array.make n_categories 0.0;
-    build_lock = Mutex.create ();
-    ruleset = Atomic.make None }
-
 let create_packed ?(mode = "snapshot") dex tables =
   if Array.length tables <> n_categories then
     invalid_arg "Engine.create_packed: expected one table per category";
-  installed ~mode dex (Array.map Option.some tables)
-
-let create_patched ~mode dex patch =
-  installed ~mode ~patch dex (Array.make n_categories None)
+  { dex; cache = Cache.create (); pool = None; indexed = true; eager = false;
+    load_mode = Some mode;
+    tables = Array.map (fun p -> Atomic.make (Some p)) tables;
+    build_us = Array.make n_categories 0.0;
+    build_lock = Mutex.create ();
+    ruleset = Atomic.make None }
 
 let program t = t.dex.Dex.Dexfile.program
 let dexfile t = t.dex

@@ -50,10 +50,6 @@ module Packed : sig
   (** Slot count of key index [k] — O(1) for both bodies. *)
   val count : t -> int -> int
 
-  (** Write key index [k]'s slots into [dst] from index [at], ascending;
-      returns their count.  [dst] must have room for them. *)
-  val blit_key : t -> int -> Ivec.t -> int -> int
-
   (** Apply [f] to each slot of key index [k], ascending. *)
   val iter_key : t -> int -> (int -> unit) -> unit
 
@@ -88,12 +84,6 @@ val export_packed : t -> Packed.t array
     in category order.  {!index_mode} reports [mode] (default
     ["snapshot"]; {!Store.Snapshot}'s delta path passes ["delta"]). *)
 val create_packed : ?mode:string -> Dex.Dexfile.t -> Packed.t array -> t
-
-(** An indexed engine whose category [c] postings are [patch c], computed
-    on the category's first use (under the build lock, like a lazy build)
-    — the delta path, which patches the old version's postings only for
-    the categories a query or a save asks for. *)
-val create_patched : mode:string -> Dex.Dexfile.t -> (int -> Packed.t) -> t
 
 (** [iter_slot_postings dex slot f] calls [f c key] for every category [c]
     (an index into {!export_packed}) and key (a [Sym.id]) under which arena

@@ -5,11 +5,6 @@
 let tag_varint = 0
 let tag_bitmap = 1
 
-(* Byte reads through the [Bigarray] primitives, which compile inline at a
-   known element kind (a call into [Bvec] would not). *)
-let u8 (b : Bvec.t) i = Char.code (Bigarray.Array1.unsafe_get b i)
-let checked_u8 (b : Bvec.t) i = Char.code (Bigarray.Array1.get b i)
-
 (* -- varints (LEB128, low 7 bits first) ------------------------------- *)
 
 let put_varint buf n =
@@ -20,38 +15,31 @@ let put_varint buf n =
   done;
   Buffer.add_char buf (Char.chr !n)
 
-(* Fast unchecked decode of the varint at [!p], advancing [p]: data was
-   validated at load time.  No tuple per value, so a run decodes without
-   allocating. *)
-let next_varint (b : Bvec.t) p =
-  let x = ref 0 and shift = ref 0 in
+(* Fast unchecked decode: data was validated at load time. *)
+let get_varint (b : Bvec.t) pos =
+  let x = ref 0 and shift = ref 0 and p = ref pos in
   let continue_ = ref true in
   while !continue_ do
-    let byte = u8 b !p in
+    let byte = Bvec.unsafe_u8 b !p in
     incr p;
     x := !x lor ((byte land 0x7f) lsl !shift);
     shift := !shift + 7;
     if byte < 0x80 then continue_ := false
   done;
-  !x
-
-exception Invalid of string
+  (!x, !p)
 
 (* Careful decode for validation: bounds-checked, rejects overlong and
-   overflowing encodings instead of wrapping.  Advances [p]; raises
-   [Invalid]. *)
-let checked_varint (b : Bvec.t) p ~limit =
-  let x = ref 0 and shift = ref 0 and continue_ = ref true in
-  while !continue_ do
-    if !p >= limit then raise (Invalid "varint truncated");
-    if !shift > 62 then raise (Invalid "varint overflow");
-    let byte = checked_u8 b !p in
-    incr p;
-    x := !x lor ((byte land 0x7f) lsl !shift);
-    shift := !shift + 7;
-    if byte < 0x80 then continue_ := false
-  done;
-  !x
+   overflowing encodings instead of wrapping. *)
+let checked_varint (b : Bvec.t) pos ~limit =
+  let rec go x shift p =
+    if p >= limit then Error "varint truncated"
+    else if shift > 62 then Error "varint overflow"
+    else
+      let byte = Bvec.get_u8 b p in
+      let x = x lor ((byte land 0x7f) lsl shift) in
+      if byte < 0x80 then Ok (x, p + 1) else go x (shift + 7) (p + 1)
+  in
+  go 0 0 pos
 
 (* -- encoding --------------------------------------------------------- *)
 
@@ -100,7 +88,7 @@ let encode_array buf a =
 
 (* -- decoding --------------------------------------------------------- *)
 
-let count b ~pos = next_varint b (ref pos)
+let count b ~pos = fst (get_varint b pos)
 
 (* Iterate one word of bitmap as two 32-bit halves — no Int64 allocation
    per bit test once flambda-less OCaml unboxes the locals. *)
@@ -119,133 +107,96 @@ let iter_word f base w =
   half 32 hi
 
 let get_word_le (b : Bvec.t) pos =
-  let u8 i = Int64.of_int (u8 b (pos + i)) in
+  let u8 i = Int64.of_int (Bvec.unsafe_u8 b (pos + i)) in
   let ( ||| ) = Int64.logor and ( <<< ) = Int64.shift_left in
   u8 0 ||| (u8 1 <<< 8) ||| (u8 2 <<< 16) ||| (u8 3 <<< 24)
   ||| (u8 4 <<< 32) ||| (u8 5 <<< 40) ||| (u8 6 <<< 48) ||| (u8 7 <<< 56)
 
 let iter b ~pos f =
-  let p = ref pos in
-  let n = next_varint b p in
+  let n, p = get_varint b pos in
   if n > 0 then begin
-    let tag = u8 b !p in
-    incr p;
+    let tag = Bvec.unsafe_u8 b p in
+    let p = p + 1 in
     if tag = tag_bitmap then begin
-      let first = next_varint b p in
-      let nwords = next_varint b p in
+      let first, p = get_varint b p in
+      let nwords, p = get_varint b p in
       for w = 0 to nwords - 1 do
-        let word = get_word_le b (!p + (8 * w)) in
+        let word = get_word_le b (p + (8 * w)) in
         if word <> 0L then iter_word f (first + (64 * w)) word
       done
     end
     else begin
-      let first = next_varint b p in
+      let first, p = get_varint b p in
       f first;
-      let prev = ref first in
+      let prev = ref first and p = ref p in
       for _ = 2 to n do
-        let s = !prev + next_varint b p + 1 in
+        let d, p' = get_varint b !p in
+        p := p';
+        let s = !prev + d + 1 in
         f s;
         prev := s
       done
     end
   end
 
-let decode_into b ~pos (dst : Ivec.t) at =
-  let p = ref pos in
-  let n = next_varint b p in
-  if n > 0 then begin
-    let tag = u8 b !p in
-    incr p;
-    if tag = tag_bitmap then begin
-      let first = next_varint b p in
-      let nwords = next_varint b p in
-      let k = ref at in
-      (* the words are little-endian: byte [j] holds slots [8j, 8j+8) *)
-      for j = 0 to (8 * nwords) - 1 do
-        let bits = ref (u8 b (!p + j)) and s = ref (first + (8 * j)) in
-        while !bits <> 0 do
-          if !bits land 1 <> 0 then begin
-            Bigarray.Array1.unsafe_set dst !k !s;
-            incr k
-          end;
-          bits := !bits lsr 1;
-          incr s
-        done
-      done
-    end
-    else begin
-      let s = ref (next_varint b p) in
-      Bigarray.Array1.unsafe_set dst at !s;
-      for i = 1 to n - 1 do
-        (* most gaps fit one byte *)
-        let byte = u8 b !p in
-        let d = if byte < 0x80 then (incr p; byte) else next_varint b p in
-        s := !s + d + 1;
-        Bigarray.Array1.unsafe_set dst (at + i) !s
-      done
-    end
-  end;
-  n
-
 (* -- validation ------------------------------------------------------- *)
 
+let ( let* ) = Result.bind
+
 let validate b ~pos ~limit ~max_slot =
-  let fail m = raise (Invalid m) in
-  let p = ref pos in
-  match
-    let n = checked_varint b p ~limit in
-    if n < 0 then fail "negative count";
-    if n = 0 then begin
-      if !p <> limit then fail "trailing bytes after empty run"
-    end
-    else begin
-      if !p >= limit then fail "missing tag";
-      let tag = checked_u8 b !p in
-      incr p;
-      if tag = tag_bitmap then begin
-        let first = checked_varint b p ~limit in
-        let nwords = checked_varint b p ~limit in
-        if first < 0 || first > max_slot then fail "first slot out of range";
-        if nwords <= 0 || nwords > (max_slot / 64) + 1 then
-          fail "bitmap word count out of range";
-        if !p + (8 * nwords) > limit then fail "bitmap truncated";
-        (* population must match the declared count; every set bit must be
-           a valid slot; the first and last words must actually carry the
-           run's endpoints *)
-        let popcount = ref 0 and ok = ref true in
-        for w = 0 to nwords - 1 do
-          let word = get_word_le b (!p + (8 * w)) in
-          if word <> 0L then
-            iter_word
-              (fun s ->
-                 incr popcount;
-                 if s > max_slot then ok := false)
-              (first + (64 * w))
-              word
-        done;
-        if not !ok then fail "bitmap slot out of range";
-        if !popcount <> n then fail "bitmap population mismatch";
-        if
-          Int64.logand (get_word_le b !p) 1L <> 1L
-          || Int64.equal (get_word_le b (!p + (8 * (nwords - 1)))) 0L
-        then fail "bitmap not anchored";
-        p := !p + (8 * nwords)
-      end
+  let* n, p = checked_varint b pos ~limit in
+  if n < 0 then Error "negative count"
+  else if n = 0 then
+    if p = limit then Ok (0, p) else Error "trailing bytes after empty run"
+  else if p >= limit then Error "missing tag"
+  else
+    let tag = Bvec.get_u8 b p in
+    let p = p + 1 in
+    let* endp =
+      if tag = tag_bitmap then
+        let* first, p = checked_varint b p ~limit in
+        let* nwords, p = checked_varint b p ~limit in
+        if first < 0 then Error "first slot out of range"
+        else if nwords <= 0 || nwords > (max_slot / 64) + 1 then
+          Error "bitmap word count out of range"
+        else if p + (8 * nwords) > limit then Error "bitmap truncated"
+        else begin
+          (* population must match the declared count; every set bit must
+             be a valid slot; the first and last words must actually carry
+             the run's endpoints *)
+          let popcount = ref 0 and ok = ref true in
+          for w = 0 to nwords - 1 do
+            let word = get_word_le b (p + (8 * w)) in
+            if word <> 0L then
+              iter_word
+                (fun s ->
+                   incr popcount;
+                   if s < first || s > max_slot then ok := false)
+                (first + (64 * w))
+                word
+          done;
+          if not !ok then Error "bitmap slot out of range"
+          else if !popcount <> n then Error "bitmap population mismatch"
+          else if
+            Int64.logand (get_word_le b p) 1L <> 1L
+            || Int64.equal (get_word_le b (p + (8 * (nwords - 1)))) 0L
+          then Error "bitmap not anchored"
+          else Ok (p + (8 * nwords))
+        end
       else if tag = tag_varint then begin
-        let first = checked_varint b p ~limit in
-        if first < 0 || first > max_slot then fail "first slot out of range";
-        let prev = ref first in
-        for _ = 2 to n do
-          let d = checked_varint b p ~limit in
-          let s = !prev + d + 1 in
-          if d < 0 || s > max_slot then fail "slot out of range";
-          prev := s
-        done
+        let* first, p = checked_varint b p ~limit in
+        if first < 0 || first > max_slot then Error "first slot out of range"
+        else
+          let rec deltas prev p k =
+            if k = 0 then Ok p
+            else
+              let* d, p = checked_varint b p ~limit in
+              let s = prev + d + 1 in
+              if d < 0 || s > max_slot then Error "slot out of range"
+              else deltas s p (k - 1)
+          in
+          deltas first p (n - 1)
       end
-      else fail (Printf.sprintf "unknown run tag %d" tag);
-      if !p <> limit then fail "trailing bytes after run"
-    end;
-    n
-  with
-  | n -> Ok (n, !p)
-  | exception Invalid m -> Error m
+      else Error (Printf.sprintf "unknown run tag %d" tag)
+    in
+    if endp = limit then Ok (n, endp) else Error "trailing bytes after run"

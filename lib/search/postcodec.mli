@@ -33,11 +33,6 @@ val count : Bvec.t -> pos:int -> int
     Allocation-free; the data must have been {!validate}d. *)
 val iter : Bvec.t -> pos:int -> (int -> unit) -> unit
 
-(** [decode_into b ~pos dst at] writes the slots of the run at [pos] into
-    [dst] from index [at], ascending, and returns their count.  [dst] must
-    have room for them; the data must have been {!validate}d. *)
-val decode_into : Bvec.t -> pos:int -> Ivec.t -> int -> int
-
 (** Fully check the run occupying exactly [pos .. limit) — bounds, tag,
     varint well-formedness, slot range ([<= max_slot]), bitmap population —
     returning its slot count.  Every byte a later {!iter} touches is

@@ -5,12 +5,6 @@ module Classmap = Dex.Classmap
 
 let ( let* ) = Result.bind
 
-(* Element access through the [Bigarray] primitives, which compile inline
-   at a known element kind where a call into [Ivec] would not: the load and
-   delta loops run once per slot, line or posting. *)
-let iget (v : Ivec.t) i = Bigarray.Array1.get v i
-let iset (v : Ivec.t) i x = Bigarray.Array1.set v i x
-
 (* Section ids.  Per-line owner/stmt sections are deliberately absent: the
    arena already records owner and statement index for every instruction
    line, and header lines have neither, so load reconstructs line metadata
@@ -159,10 +153,10 @@ let load_classmap r ~n_lines ~n_slots =
       let ir_hash = Array.make n 0L in
       let ok = ref true in
       for i = 0 to n - 1 do
-        let llo = iget ranges ((4 * i) + 0) in
-        let lhi = iget ranges ((4 * i) + 1) in
-        let slo = iget ranges ((4 * i) + 2) in
-        let shi = iget ranges ((4 * i) + 3) in
+        let llo = Ivec.get ranges ((4 * i) + 0) in
+        let lhi = Ivec.get ranges ((4 * i) + 1) in
+        let slo = Ivec.get ranges ((4 * i) + 2) in
+        let shi = Ivec.get ranges ((4 * i) + 3) in
         if llo < 0 || llo > lhi || lhi > n_lines then ok := false;
         if slo < 0 || slo > shi || shi > n_slots then ok := false;
         (* class runs are disjoint and in line/slot order *)
@@ -199,10 +193,10 @@ let coded_sections (p : Packed.t) =
     if Array.length !run < n then run := Array.make (max n 64) 0;
     let a = !run and i = ref 0 in
     Packed.iter_key p k (fun slot -> a.(!i) <- slot; incr i);
-    iset offsets k (Buffer.length buf);
+    Ivec.set offsets k (Buffer.length buf);
     Postcodec.encode buf ~get:(Array.get a) ~lo:0 ~hi:n
   done;
-  iset offsets nk (Buffer.length buf);
+  Ivec.set offsets nk (Buffer.length buf);
   (offsets, Buffer.contents buf)
 
 let save ?(format_version = Codec.format_version) ?ruleset_hash
@@ -281,21 +275,21 @@ let check_packed_flat ~n_syms ~n_slots c ~keys ~offsets ~slots =
     Error (Codec.Corrupt (Printf.sprintf "postings %d: %s" c what))
   in
   if Ivec.length offsets <> nk + 1 then bad "offsets length"
-  else if iget offsets 0 <> 0 then bad "offsets start"
-  else if iget offsets nk <> Ivec.length slots then bad "offsets end"
+  else if Ivec.get offsets 0 <> 0 then bad "offsets start"
+  else if Ivec.get offsets nk <> Ivec.length slots then bad "offsets end"
   else begin
     let ok = ref true in
     for k = 0 to nk - 1 do
-      let key = iget keys k in
+      let key = Ivec.get keys k in
       if key < 0 || key >= n_syms then ok := false;
-      if k > 0 && iget keys (k - 1) >= key then ok := false;
-      if iget offsets (k + 1) < iget offsets k then ok := false
+      if k > 0 && Ivec.get keys (k - 1) >= key then ok := false;
+      if Ivec.get offsets (k + 1) < Ivec.get offsets k then ok := false
     done;
     if not !ok then bad "keys/offsets not ascending or out of range"
     else begin
       let ok = ref true in
       for i = 0 to Ivec.length slots - 1 do
-        let s = iget slots i in
+        let s = Ivec.get slots i in
         if s < 0 || s >= n_slots then ok := false
       done;
       if !ok then Ok () else bad "slot out of range"
@@ -313,15 +307,15 @@ let check_packed_coded ~n_syms ~n_slots c ~keys ~offsets ~(coded : Bvec.t) =
     Error (Codec.Corrupt (Printf.sprintf "postings %d: %s" c what))
   in
   if Ivec.length offsets <> nk + 1 then bad "offsets length"
-  else if nk > 0 && iget offsets 0 <> 0 then bad "offsets start"
-  else if iget offsets nk <> Bvec.length coded then bad "offsets end"
+  else if nk > 0 && Ivec.get offsets 0 <> 0 then bad "offsets start"
+  else if Ivec.get offsets nk <> Bvec.length coded then bad "offsets end"
   else begin
     let ok = ref true in
     for k = 0 to nk - 1 do
-      let key = iget keys k in
+      let key = Ivec.get keys k in
       if key < 0 || key >= n_syms then ok := false;
-      if k > 0 && iget keys (k - 1) >= key then ok := false;
-      if iget offsets (k + 1) < iget offsets k then ok := false
+      if k > 0 && Ivec.get keys (k - 1) >= key then ok := false;
+      if Ivec.get offsets (k + 1) < Ivec.get offsets k then ok := false
     done;
     if not !ok then bad "keys/offsets not ascending or out of range"
     else begin
@@ -329,8 +323,8 @@ let check_packed_coded ~n_syms ~n_slots c ~keys ~offsets ~(coded : Bvec.t) =
         if k = nk then Ok ()
         else
           match
-            Postcodec.validate coded ~pos:(iget offsets k)
-              ~limit:(iget offsets (k + 1)) ~max_slot:(n_slots - 1)
+            Postcodec.validate coded ~pos:(Ivec.get offsets k)
+              ~limit:(Ivec.get offsets (k + 1)) ~max_slot:(n_slots - 1)
           with
           | Ok _ -> runs (k + 1)
           | Error m -> bad (Printf.sprintf "run %d: %s" k m)
@@ -373,10 +367,10 @@ let parse r =
   let* meta = Codec.map_ivec r ~id:sec_meta in
   if Ivec.length meta <> 4 then Error (Codec.Corrupt "meta length")
   else begin
-    let n_lines = iget meta 0 in
-    let n_slots = iget meta 1 in
-    let n_owners = iget meta 2 in
-    let n_syms = iget meta 3 in
+    let n_lines = Ivec.get meta 0 in
+    let n_slots = Ivec.get meta 1 in
+    let n_owners = Ivec.get meta 2 in
+    let n_syms = Ivec.get meta 3 in
     if n_lines < 0 || n_slots < 0 || n_owners < 0 || n_syms < 0 then
       Error (Codec.Corrupt "negative count in meta")
     else
@@ -468,7 +462,7 @@ let parse r =
           let* v = Codec.map_ivec r ~id:sec_ruleset in
           if Ivec.length v <> 1 then
             Error (Codec.Corrupt "ruleset section length")
-          else Ok (Some (iget v 0))
+          else Ok (Some (Ivec.get v 0))
       in
       let* classmap = load_classmap r ~n_lines ~n_slots in
       Ok
@@ -492,7 +486,7 @@ let remap_packed live_of_snap (p : Packed.t) =
   let p = Packed.to_flat p in
   let nk = Packed.n_keys p in
   let newkey =
-    Array.init nk (fun k -> live_of_snap.(iget p.Packed.keys k))
+    Array.init nk (fun k -> live_of_snap.(Ivec.get p.Packed.keys k))
   in
   let order = Array.init nk Fun.id in
   Array.sort (fun a b -> compare newkey.(a) newkey.(b)) order;
@@ -500,14 +494,14 @@ let remap_packed live_of_snap (p : Packed.t) =
   let offsets = Ivec.create (nk + 1) in
   let slots = Ivec.create (Packed.n_slots p) in
   let pos = ref 0 in
-  iset offsets 0 0;
+  Ivec.set offsets 0 0;
   Array.iteri
     (fun i k ->
-       iset keys i newkey.(k);
+       Ivec.set keys i newkey.(k);
        Packed.iter_key p k (fun slot ->
-           iset slots !pos slot;
+           Ivec.set slots !pos slot;
            incr pos);
-       iset offsets (i + 1) !pos)
+       Ivec.set offsets (i + 1) !pos)
     order;
   { Packed.keys; offsets; body = Packed.Flat slots }
 
@@ -581,7 +575,9 @@ let load ?(prefault = false) ~path program =
        Array.init (Dex.Textstore.count syms) (fun i ->
            (* a symbol already live under the snapshot's id needs no
               string and no table lookup *)
-           let live = if i < n_live then Sym.to_string (Sym.unsafe_of_id i) else "" in
+           let live =
+             if i < n_live then Sym.to_string (Sym.unsafe_of_id i) else ""
+           in
            if
              i < n_live
              && Dex.Textstore.length_at syms i = String.length live
@@ -603,15 +599,14 @@ let load ?(prefault = false) ~path program =
           touches the file *)
        Obs.Metrics.incr m_load_remapped;
        for i = 0 to n_slots - 1 do
-         let s = iget p.p_sym i in
-         if s >= 0 then iset p.p_sym i live_of_snap.(s)
+         let s = Ivec.get p.p_sym i in
+         if s >= 0 then Ivec.set p.p_sym i live_of_snap.(s)
        done
      end;
      let arena =
        { Dex.Arena.line_idx = p.p_line_idx; stmt_idx = p.p_stmt_idx;
          owner_id = p.p_owner_id; cat = p.p_cat; sym = p.p_sym;
-         owners = p.p_owners; owner_cls = p.p_owner_cls;
-         tokened = None }
+         owners = p.p_owners; owner_cls = p.p_owner_cls }
      in
      (* the hot sections (arena columns + postings directories) are
         always prefaulted — they are small and every query planner pass
@@ -676,59 +671,77 @@ let delta_report_to_string d =
    [lo] — a slot outside them belongs to a removed or re-rendered class and
    is dropped — merged key by key with [fresh], the re-rendered classes'
    entries as ascending [key lsl 31 lor slot] codes. *)
-let patch_postings (old_p : Packed.t) ~runs ~monotone
-    (fresh : int array) =
+let patch_postings (old_p : Packed.t) ~runs ~monotone (fresh : int array) =
   let nk_old = Packed.n_keys old_p and nf = Array.length fresh in
   let keys = Ivec.create (nk_old + nf) in
   let offsets = Ivec.create (nk_old + nf + 1) in
-  let slots = Ivec.create (Packed.n_slots old_p + nf) in
-  iset offsets 0 0;
+  let slots : Ivec.t = Ivec.create (Packed.n_slots old_p + nf) in
+  Ivec.set offsets 0 0;
   let nk = ref 0 and pos = ref 0 and ki = ref 0 and fi = ref 0 in
   let nr = Array.length runs in
+  (* map one old slot through [runs] (a key's slots ascend, so one cursor
+     follows them), dropping the slots of removed and re-rendered classes *)
+  let r = ref 0 in
+  let carry os =
+    while !r < nr && (let _, hi, _ = Array.unsafe_get runs !r in hi <= os) do
+      incr r
+    done;
+    if !r < nr then begin
+      let rlo, _, shift = Array.unsafe_get runs !r in
+      if os >= rlo then begin
+        Bigarray.Array1.unsafe_set slots !pos (os + shift);
+        incr pos
+      end
+    end
+  in
+  let carried = ref [||] in
   while !ki < nk_old || !fi < nf do
-    let ko = if !ki < nk_old then iget old_p.Packed.keys !ki else max_int in
+    let ko = if !ki < nk_old then Ivec.get old_p.Packed.keys !ki else max_int in
     let kf = if !fi < nf then fresh.(!fi) lsr 31 else max_int in
     let k = min ko kf in
     let lo = !pos in
     if ko = k then begin
-      (* decode the old run in place, then map it through [runs] (its
-         slots ascend, so one cursor follows them), dropping the slots of
-         removed and re-rendered classes *)
-      let n = Packed.blit_key old_p !ki slots lo in
-      let r = ref 0 in
-      for j = lo to lo + n - 1 do
-        let os = Bigarray.Array1.unsafe_get slots j in
-        while !r < nr && (let _, hi, _ = Array.unsafe_get runs !r in hi <= os) do
-          incr r
-        done;
-        if !r < nr then begin
-          let rlo, _, shift = Array.unsafe_get runs !r in
-          if os >= rlo then begin
-            Bigarray.Array1.unsafe_set slots !pos (os + shift);
-            incr pos
-          end
-        end
-      done;
+      r := 0;
+      Packed.iter_key old_p !ki carry;
       incr ki
     end;
-    let mid = !pos in
-    while !fi < nf && fresh.(!fi) lsr 31 = k do
-      iset slots !pos (fresh.(!fi) land 0x7fffffff);
-      incr pos;
-      incr fi
-    done;
+    let nc = !pos - lo in
+    if (not monotone) && nc > 1 then begin
+      (* an old multidex build, laid out in partition order *)
+      let a =
+        Array.init nc (fun i -> Bigarray.Array1.unsafe_get slots (lo + i))
+      in
+      Array.sort Int.compare a;
+      Array.iteri (fun i x -> Bigarray.Array1.unsafe_set slots (lo + i) x) a
+    end;
+    let f0 = !fi in
+    while !fi < nf && fresh.(!fi) lsr 31 = k do incr fi done;
+    if !fi > f0 then begin
+      (* merge the ascending carried and fresh slots *)
+      if Array.length !carried < nc then carried := Array.make (2 * nc) 0;
+      let c = !carried in
+      for i = 0 to nc - 1 do
+        c.(i) <- Bigarray.Array1.unsafe_get slots (lo + i)
+      done;
+      let ci = ref 0 and fj = ref f0 in
+      pos := lo;
+      while !ci < nc || !fj < !fi do
+        let fs = if !fj < !fi then fresh.(!fj) land 0x7fffffff else max_int in
+        if !ci < nc && c.(!ci) < fs then begin
+          Bigarray.Array1.unsafe_set slots !pos c.(!ci);
+          incr ci
+        end
+        else begin
+          Bigarray.Array1.unsafe_set slots !pos fs;
+          incr fj
+        end;
+        incr pos
+      done
+    end;
     if !pos > lo then begin
-      (* carried slots ascend, then fresh ones: sort the run when both are
-         present, or when the slot map is not monotone (an old multidex
-         build, laid out in partition order) *)
-      if (mid > lo && !pos > mid) || ((not monotone) && !pos - lo > 1) then begin
-        let a = Array.init (!pos - lo) (fun i -> iget slots (lo + i)) in
-        Array.sort compare a;
-        Array.iteri (fun i x -> iset slots (lo + i) x) a
-      end;
-      iset keys !nk k;
+      Ivec.set keys !nk k;
       incr nk;
-      iset offsets !nk !pos
+      Ivec.set offsets !nk !pos
     end
   done;
   let sub v n = Bigarray.Array1.sub v 0 n in
@@ -775,7 +788,7 @@ let delta_of_engine old_engine program =
              incr n_changed;
              for s = cm_old.Classmap.slot_lo.(oi)
                  to cm_old.Classmap.slot_hi.(oi) - 1 do
-               seed := iget oa.Dex.Arena.owner_id s :: !seed
+               seed := Ivec.get oa.Dex.Arena.owner_id s :: !seed
              done;
              (c, ih, None)
            | None ->
@@ -866,7 +879,8 @@ let delta_of_engine old_engine program =
         ~names:(Array.map (fun ((c : Ir.Jclass.t), _, _) -> c.name) plan)
         ~line_lo:(Array.sub starts 0 n_classes)
         ~line_hi:(Array.sub starts 1 n_classes)
-        ~slot_lo:cm_slot_lo ~slot_hi:cm_slot_hi ~ir_hash:(Array.map (fun (_, ih, _) -> ih) plan)
+        ~slot_lo:cm_slot_lo ~slot_hi:cm_slot_hi
+        ~ir_hash:(Array.map (fun (_, ih, _) -> ih) plan)
     in
     let dex =
       Dex.Dexfile.v ~classmap texts (Dex.Arena.Builder.finish ab) program
@@ -875,11 +889,8 @@ let delta_of_engine old_engine program =
     let runs = Array.of_list !runs in
     Array.sort compare runs;
     let fresh_ranges = List.rev !fresh_ranges in
-    (* The postings are patched per category on its first use (a replayed
-       analysis asks for one or two).  The report counts them up front: the old
-       entries minus those of the old slots no run carries, and the
-       re-rendered slots' entries — per category, as [key lsl 31 lor slot]
-       codes. *)
+    (* the re-rendered slots' postings, per category, as
+       [key lsl 31 lor slot] codes *)
     let fresh = Array.make n_categories [] in
     List.iter
       (fun (lo, hi) ->
@@ -888,30 +899,24 @@ let delta_of_engine old_engine program =
                fresh.(c) <- ((k lsl 31) lor ns) :: fresh.(c))
          done)
       fresh_ranges;
-    let old = Array.map Option.some (Engine.export_packed old_engine) in
-    let dropped lo hi =
-      let n = ref 0 in
-      for s = lo to hi - 1 do
-        Engine.iter_slot_postings dex_old s (fun _ _ -> incr n)
-      done;
-      !n
+    let fresh =
+      Array.map
+        (fun l ->
+           let codes = Array.of_list l in
+           Array.sort Int.compare codes;
+           codes)
+        fresh
     in
+    let tables =
+      Array.mapi
+        (fun c old_p -> patch_postings old_p ~runs ~monotone fresh.(c))
+        (Engine.export_packed old_engine)
+    in
+    let n_fresh = Array.fold_left (fun n a -> n + Array.length a) 0 fresh in
     let carried =
-      Array.fold_left (fun n p -> n + Packed.n_slots (Option.get p)) 0 old
-      - snd
-          (Array.fold_left
-             (fun (next, n) (lo, hi, _) -> (hi, n + dropped next lo))
-             (0, 0) runs)
-      - dropped (Array.fold_left (fun _ (_, hi, _) -> hi) 0 runs) old_n_slots
+      Array.fold_left (fun n p -> n + Packed.n_slots p) 0 tables - n_fresh
     in
-    let engine =
-      Engine.create_patched ~mode:"delta" dex (fun c ->
-          let codes = Array.of_list fresh.(c) in
-          Array.sort Int.compare codes;
-          let p = patch_postings (Option.get old.(c)) ~runs ~monotone codes in
-          old.(c) <- None;  (* the old table is no longer needed *)
-          p)
-    in
+    let engine = Engine.create_packed ~mode:"delta" dex tables in
     (* carry the rule-set stamp, so an analysis under a different rule set
        sees `Changed` and warns instead of silently trusting warm state *)
     (match Engine.ruleset_stamp old_engine with
@@ -923,8 +928,7 @@ let delta_of_engine old_engine program =
         d_lines_reused = !reused_lines;
         d_lines_rendered = n_lines - !reused_lines;
         d_patched_postings_bytes = 8 * carried;
-        d_rebuilt_postings_bytes =
-          8 * Array.fold_left (fun n l -> n + List.length l) 0 fresh }
+        d_rebuilt_postings_bytes = 8 * n_fresh }
     in
     Obs.Metrics.incr m_delta_loads;
     Obs.Metrics.add m_delta_reused !n_unchanged;

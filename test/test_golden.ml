@@ -117,7 +117,7 @@ let test_line_view () =
     (Ivec.equal a.line_idx b.line_idx && Ivec.equal a.stmt_idx b.stmt_idx
      && Ivec.equal a.owner_id b.owner_id && Ivec.equal a.cat b.cat
      && Ivec.equal a.sym b.sym && a.owners = b.owners
-     && a.owner_cls = b.owner_cls && a.tokened = b.tokened);
+     && a.owner_cls = b.owner_cls);
   let c = Dex.Classmap.of_lines lines a p and d = Dex.Dexfile.classmap dex in
   Alcotest.(check bool) "class map" true
     (Dex.Classmap.(c.names = d.names && c.line_lo = d.line_lo

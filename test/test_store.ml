@@ -294,6 +294,13 @@ let test_delta_equals_cold () =
     | Error e ->
       Alcotest.failf "delta_of_engine: %s" (Store.Codec.error_to_string e)
   in
+  (* the patched index is complete and owns all of its postings: the same
+     tables, byte for byte, as an eager build of v2 *)
+  Alcotest.(check int) "delta engine holds every category" 7
+    (E.built_categories e_res);
+  Alcotest.(check int) "delta postings footprint == eager v2 build"
+    (E.postings_footprint (E.create ~eager:true v2.G.dex))
+    (E.postings_footprint e_res);
   let results =
     match
       Backdroid.Resultcache.of_strings (Store.Snapshot.load_results ~path
