@@ -38,6 +38,146 @@ let multidex_app () =
           { G.shape = Shape.Async_task; sink = Sinks.ssl_factory;
             insecure = false } ] }
 
+(* A hand-built class that exercises every [Stmt], [Expr] and
+   [Value.const] constructor the renderer handles, including the ones no
+   generated app emits (wide and float constants, class constants, casts,
+   array access, [array-length], [throw], [nop], [move-exception]), plus
+   edge cases of the number formatting: negative and [min_int] ints,
+   registers numbered past 255, statement indices and branch targets past
+   0xffff (and a negative target), and string literals that need [%S]
+   escaping. *)
+let fixture_program () =
+  let module T = Ir.Types in
+  let module V = Ir.Value in
+  let module E = Ir.Expr in
+  let module S = Ir.Stmt in
+  let cls = "com.golden.fixture.Kitchen" and base = "com.golden.fixture.Base" in
+  let obj = T.Object "java.lang.Object" in
+  let str_t = T.Object "java.lang.String" in
+  let loc ?(ty = obj) id = { V.id; ty } in
+  let l x = V.Local (loc x) in
+  let c k = V.Const k in
+  let meth ?(params = []) ?(ret = T.Void) cls name =
+    Ir.Jsig.meth ~cls ~name ~params ~ret
+  in
+  let fld = Ir.Jsig.field ~cls ~name:"slot" ~ty:obj in
+  let sfld = Ir.Jsig.field ~cls ~name:"SHARED" ~ty:(T.Array T.Int) in
+  let callee = meth base "run" ~params:[ str_t; T.Int ] ~ret:obj in
+  let binops =
+    E.[ Add; Sub; Mul; Div; Rem; Band; Bor; Bxor; Shl; Shr; Ushr; Cmp; Eq; Ne;
+        Lt; Le; Gt; Ge ]
+  in
+  let consts =
+    V.[ Null; Int_c 0; Int_c (-1); Int_c 32767; Int_c (-40000); Int_c min_int;
+        Int_c max_int; Long_c 0L; Long_c (-7L); Long_c Int64.min_int;
+        Long_c Int64.max_int; Float_c 1.5; Float_c (-0.0); Float_c nan;
+        Float_c infinity; Double_c 3.25; Double_c neg_infinity;
+        Str_c ""; Str_c "plain"; Str_c "q\"uo\\te\n\ttab\r\001\127\255é";
+        Class_c "java.lang.String"; Class_c "com.golden.fixture.Base" ]
+  in
+  let all =
+    List.concat
+      [ [ S.Assign (loc "this", E.This);
+          S.Assign (loc ~ty:str_t "p0", E.Param 0);
+          S.Assign (loc ~ty:T.Int "p1", E.Param 1);
+          S.Assign (loc "exc", E.Caught_exception) ];
+        List.mapi (fun i k -> S.Assign (loc ("k" ^ string_of_int i), E.Imm (c k)))
+          consts;
+        List.map (fun k -> S.Assign (loc "kv", E.Imm (c k))) consts;
+        [ S.Assign (loc "mv", E.Imm (l "k3")) ];
+        List.mapi
+          (fun i op ->
+             S.Assign (loc ("b" ^ string_of_int i),
+                       E.Binop (op, l "p1", l ("k" ^ string_of_int (i mod 7)))))
+          binops;
+        List.map (fun k -> S.Assign (loc "bk", E.Binop (E.Add, c k, l "p1")))
+          consts;
+        List.map (fun k -> S.Assign (loc "bk2", E.Binop (E.Mul, l "p1", c k)))
+          consts;
+        [ S.Assign (loc ~ty:str_t "cast", E.Cast (str_t, l "k1"));
+          S.Assign (loc ~ty:(T.Array T.Int) "cast2",
+                    E.Cast (T.Array T.Int, c (V.Int_c 5)));
+          S.Assign (loc "obj", E.New base);
+          S.Invoke { E.kind = E.Special; callee = meth base "<init>";
+                     base = Some (loc "obj"); args = [] };
+          S.Assign (loc "r1",
+                    E.Invoke { E.kind = E.Virtual; callee; base = Some (loc "obj");
+                               args = [ l "p0"; c (V.Int_c (-3)) ] });
+          S.Assign (loc "r2",
+                    E.Invoke { E.kind = E.Static; callee = meth base "make";
+                               base = None; args = [] });
+          S.Invoke { E.kind = E.Interface; callee; base = Some (loc "r2");
+                     args = [ c (V.Str_c "a\"b"); c (V.Long_c (-1L)) ] };
+          S.Invoke { E.kind = E.Static;
+                     callee = meth base "all" ~params:[ obj; obj; obj; obj; obj ];
+                     base = None;
+                     args = [ c V.Null; c (V.Class_c "a.B"); c (V.Float_c 2.0);
+                              c (V.Double_c 0.1); l "fresh" ] };
+          S.Assign (loc ~ty:(T.Array T.Int) "arr",
+                    E.New_array (T.Int, c (V.Int_c 10)));
+          S.Assign (loc ~ty:(T.Array obj) "arr2", E.New_array (obj, l "p1"));
+          S.Assign (loc ~ty:(T.Array (T.Array T.Int)) "arr3",
+                    E.New_array (T.Array T.Int, l "b0"));
+          S.Assign (loc "ag", E.Array_get (loc "arr2", l "p1"));
+          S.Assign (loc "ag2", E.Array_get (loc "arr", c (V.Int_c min_int)));
+          S.Assign (loc "ig", E.Instance_get (loc "this", fld));
+          S.Assign (loc "sg", E.Static_get sfld);
+          S.Assign (loc "phi", E.Phi [ loc "ig"; loc "sg"; loc "new1" ]);
+          S.Assign (loc "phi0", E.Phi []);
+          S.Assign (loc ~ty:T.Int "len", E.Length (l "arr"));
+          S.Assign (loc ~ty:T.Int "len2", E.Length (c V.Null));
+          S.Instance_put (loc "this", fld, l "ig");
+          S.Instance_put (loc "other", fld, c (V.Str_c "x\ny"));
+          S.Static_put (sfld, l "arr");
+          S.Static_put (sfld, c (V.Int_c (-9)));
+          S.Array_put (loc "arr", l "p1", l "len");
+          S.Array_put (loc "arr2", c (V.Int_c 2), c (V.Class_c "c.D")) ];
+        List.mapi (fun i op -> S.If (op, l "p1", l "b1", i * 4099)) binops;
+        [ S.If (E.Lt, c (V.Int_c (-5)), l "p1", 0x12345);
+          S.If (E.Eq, l "k0", c V.Null, -1);
+          S.Goto 0; S.Goto 0xffff; S.Goto 0x10000; S.Goto (-2);
+          S.Throw (l "exc"); S.Throw (c V.Null); S.Nop;
+          S.Return (Some (l "r1")); S.Return (Some (c (V.Str_c "done\\")));
+          S.Return None ] ]
+  in
+  (* 300 live locals: registers v0..v299, all in one phi and one binop *)
+  let many =
+    let ids = List.init 300 (fun i -> "m" ^ string_of_int i) in
+    List.map (fun id -> S.Assign (loc ~ty:T.Int id, E.Imm (c (V.Int_c 1)))) ids
+    @ [ S.Assign (loc "big", E.Phi (List.map (fun id -> loc id) ids));
+        S.Assign (loc "sum", E.Binop (E.Add, l "m299", l "m256"));
+        S.Invoke { E.kind = E.Virtual; callee; base = Some (loc "m300x");
+                   args = [ l "m255"; l "m257" ] };
+        S.Return (Some (l "sum")) ]
+  in
+  (* statement indices run past 0xffff *)
+  let long =
+    Array.init 0x10004 (fun i ->
+        if i = 0xfffe then S.Assign (loc "t", E.New base)
+        else if i = 0x10001 then S.Goto 0x10002
+        else if i = 0x10002 then S.Assign (loc "u", E.Static_get sfld)
+        else if i = 0x10003 then S.Return None
+        else S.Nop)
+  in
+  let body ?(owner = cls) ?(params = []) name stmts =
+    Ir.Jmethod.make ~msig:(meth owner name ~params) ~body:(Some stmts) ()
+  in
+  let kitchen =
+    Ir.Jclass.make ~super:None ~interfaces:[ "java.lang.Runnable"; base ]
+      ~fields:[ fld; sfld ]
+      ~methods:
+        [ body "all" ~params:[ str_t; T.Int ] (Array.of_list all);
+          body "many" (Array.of_list many);
+          body "long" long;
+          body "empty" [||];
+          Ir.Jmethod.make ~msig:(meth cls "abstract") ~body:None () ]
+      cls
+  in
+  let basec =
+    Ir.Jclass.make ~methods:[ body ~owner:base "<init>" [| S.Return None |] ] base
+  in
+  Ir.Program.of_classes [ kitchen; basec ]
+
 let digest (dex : Dex.Dexfile.t) =
   let b = Buffer.create 4096 in
   Buffer.add_string b (Dex.Dexfile.to_string dex);
@@ -103,6 +243,12 @@ let test_golden () =
   in
   Alcotest.(check (list (pair string string))) "golden digests" expected got
 
+let fixture_digest = "b4e7a6472f3ef884b8e6a306ad64e7b4"
+
+let test_fixture () =
+  Alcotest.(check string) "fixture digest" fixture_digest
+    (digest (Dex.Dexfile.of_program (fixture_program ())))
+
 (* The decoded line view (what tools read) agrees with the dexfile: same
    texts, and it rebuilds the same arena and class map. *)
 let test_line_view () =
@@ -127,4 +273,5 @@ let test_line_view () =
 let suites =
   [ ("dex.golden",
      [ Alcotest.test_case "disassembly digests" `Quick test_golden;
+       Alcotest.test_case "hand-built fixture digest" `Quick test_fixture;
        Alcotest.test_case "decoded line view" `Quick test_line_view ]) ]
