@@ -33,76 +33,83 @@ let invoke_mnemonic = function
    text, so the symbol and the text share memory. *)
 let class_op c = Sym.to_string (Descriptor.class_desc_sym c)
 
-let reg_names = Array.init 256 (fun i -> "v" ^ string_of_int i)
+module Regs = Hashtbl.Make (String)
 
 (* Per-class render state.  IR locals map to [vN] in first-use order, per
    method. *)
 type st = {
   tb : B.t;
   ab : A.t;
-  regs : (string, int) Hashtbl.t;
+  regs : int Regs.t;
   mutable next : int;
   mutable owner : int;  (* owner id of the method being rendered *)
   mutable stmt : int;   (* its statement being rendered *)
 }
 
 let reg st (l : Ir.Value.local) =
-  let n =
-    match Hashtbl.find st.regs l.id with
-    | n -> n
-    | exception Not_found ->
-      let n = st.next in
-      st.next <- n + 1;
-      Hashtbl.replace st.regs l.id n;
-      n
-  in
-  if n < Array.length reg_names then reg_names.(n) else "v" ^ string_of_int n
+  match Regs.find st.regs l.id with
+  | n -> n
+  | exception Not_found ->
+    let n = st.next in
+    st.next <- n + 1;
+    Regs.add st.regs l.id n;
+    n
 
-let value_reg st = function
-  | Ir.Value.Local l -> reg st l
-  | Ir.Value.Const c ->
-    (* dexdump shows a register; constants are materialised by a preceding
-       const instruction in real bytecode.  For inline constant operands we
-       show the literal, which search never targets. *)
-    (match c with
-     | Ir.Value.Int_c i -> "#int " ^ string_of_int i
-     | Null -> "#null"
-     | Long_c i -> "#long " ^ Int64.to_string i
-     | Float_c f | Double_c f -> Printf.sprintf "#float %f" f
-     | Str_c s -> Printf.sprintf "%S" s
-     | Class_c cl -> class_op cl)
+(* A value's register, or [-1] for an inline constant. *)
+let bind st = function Ir.Value.Local l -> reg st l | Const _ -> -1
 
 let str st s = B.add_string st.tb s
 
-let hex_digits = Array.init 16 (Printf.sprintf "%x")
+(* [sep] then register [vN] *)
+let reg_op st sep n = str st sep; B.add_char st.tb 'v'; B.add_int st.tb n
 
-let add_hex4 st i =
-  if i >= 0 && i <= 0xffff then
-    for k = 3 downto 0 do
-      str st hex_digits.((i lsr (4 * k)) land 15)
-    done
-  else str st (Printf.sprintf "%04x" i)
+(* [sep] then value [v], bound to register [r] by {!bind}.  dexdump shows a
+   register; constants are materialised by a preceding const instruction in
+   real bytecode.  For inline constant operands we show the literal, which
+   search never targets. *)
+let val_op st sep (v : Ir.Value.t) r =
+  match v with
+  | Local _ -> reg_op st sep r
+  | Const c ->
+    str st sep;
+    (match c with
+     | Int_c i -> str st "#int "; B.add_int st.tb i
+     | Null -> str st "#null"
+     | Long_c i -> str st "#long "; str st (Int64.to_string i)
+     | Float_c f | Double_c f -> str st (Printf.sprintf "#float %f" f)
+     | Str_c s -> str st (Printf.sprintf "%S" s)
+     | Class_c cl -> str st (class_op cl))
 
-(* One instruction line, "    %04x: <mnemonic> <operands, comma-separated>",
-   and its arena slot; a keyed line's operand [sym] is its last operand. *)
-let line st ?(cat = Arena.cat_none) ?sym mn ops =
-  str st "    ";
-  add_hex4 st st.stmt;
-  str st ": ";
-  str st mn;
-  List.iteri (fun i o -> str st (if i = 0 then " " else ", "); str st o) ops;
-  A.add st.ab ~line:(B.lines st.tb) ~stmt:st.stmt ~owner:st.owner ~cat
-    ~sym:(match sym with Some s -> Sym.id s | None -> -1);
+(* Open an instruction line, "    %04x: <mnemonic>". *)
+let start st mn =
+  str st "    "; B.add_hex4 st.tb st.stmt; str st ": "; str st mn
+
+(* ... followed by its destination register *)
+let dst st mn l = start st mn; reg_op st " " (reg st l)
+
+(* Close the line and add its arena slot. *)
+let slot st cat sym =
+  A.add st.ab ~line:(B.lines st.tb) ~stmt:st.stmt ~owner:st.owner ~cat ~sym;
   B.end_line st.tb
 
-let keyed st cat sym mn ops = line st ~cat ~sym mn (ops @ [ Sym.to_string sym ])
+let close st = slot st Arena.cat_none (-1)
 
+(* A keyed line's operand [sym] is its last operand. *)
+let keyed st cat sym =
+  str st ", "; str st (Sym.to_string sym); slot st cat (Sym.id sym)
+
+(* Registers are numbered arguments first, then the base. *)
 let invoke st (iv : Ir.Expr.invoke) =
-  (* registers are numbered arguments first, then the base *)
-  let args = List.map (value_reg st) iv.args in
-  let regs = match iv.base with Some b -> reg st b :: args | None -> args in
+  List.iter (fun a -> ignore (bind st a)) iv.args;
+  let base = match iv.base with Some b -> reg st b | None -> -1 in
+  start st (invoke_mnemonic iv.kind);
+  str st " {";
+  if base >= 0 then reg_op st "" base;
+  List.iteri
+    (fun i a -> val_op st (if i = 0 && base < 0 then "" else ", ") a (bind st a))
+    iv.args;
+  str st "}";
   keyed st Arena.cat_invoke (Descriptor.meth_desc_sym iv.callee)
-    (invoke_mnemonic iv.kind) [ "{" ^ String.concat ", " regs ^ "}" ]
 
 (* Operands are bound before any text is written, in the order that fixes
    their register numbers: mostly an instruction's sources right to left,
@@ -110,82 +117,88 @@ let invoke st (iv : Ir.Expr.invoke) =
 let stmt st (s : Ir.Stmt.t) =
   match s with
   | Assign (l, Imm (Const (Str_c s))) ->
+    dst st "const-string" l;
     keyed st Arena.cat_const_string (Sym.intern (Printf.sprintf "%S" s))
-      "const-string" [ reg st l ]
   | Assign (l, Imm (Const (Class_c c))) ->
-    keyed st Arena.cat_const_class (Descriptor.class_desc_sym c) "const-class"
-      [ reg st l ]
-  | Assign (l, Imm (Const (Int_c i))) ->
-    line st "const/16" [ reg st l; "#int " ^ string_of_int i ]
-  | Assign (l, Imm (Const Null)) -> line st "const/4" [ reg st l; "#int 0" ]
-  | Assign (l, Imm (Const (Long_c i))) ->
-    line st "const-wide" [ reg st l; "#long " ^ Int64.to_string i ]
-  | Assign (l, Imm (Const (Float_c f))) ->
-    line st "const" [ reg st l; Printf.sprintf "#float %f" f ]
+    dst st "const-class" l;
+    keyed st Arena.cat_const_class (Descriptor.class_desc_sym c)
+  | Assign (l, Imm (Const Null)) -> dst st "const/4" l; str st ", #int 0"; close st
   | Assign (l, Imm (Const (Double_c f))) ->
-    line st "const-wide" [ reg st l; Printf.sprintf "#double %f" f ]
+    dst st "const-wide" l; str st (Printf.sprintf ", #double %f" f); close st
+  | Assign (l, Imm (Const c as v)) ->
+    dst st (match c with Int_c _ -> "const/16" | Long_c _ -> "const-wide" | _ -> "const") l;
+    val_op st ", " v (-1); close st
   | Assign (l, Imm (Local x)) ->
     let x = reg st x in
-    line st "move-object" [ reg st l; x ]
+    dst st "move-object" l; reg_op st ", " x; close st
   | Assign (l, Binop (op, a, b)) ->
-    let b = value_reg st b in
-    let a = value_reg st a in
-    line st (binop_mnemonic op) [ reg st l; a; b ]
+    let rb = bind st b in
+    let ra = bind st a in
+    dst st (binop_mnemonic op) l; val_op st ", " a ra; val_op st ", " b rb;
+    close st
   | Assign (l, Cast (t, v)) ->
-    let l = reg st l in
-    line st "move-object" [ l; value_reg st v ];
-    line st "check-cast" [ l; Descriptor.type_desc t ]
+    let r = reg st l in
+    start st "move-object"; reg_op st " " r; val_op st ", " v (bind st v);
+    close st;
+    start st "check-cast"; reg_op st " " r; str st ", ";
+    str st (Descriptor.type_desc t); close st
   | Assign (l, Invoke iv) ->
-    let l = reg st l in
-    invoke st iv;
-    line st "move-result-object" [ l ]
+    let r = reg st l in
+    invoke st iv; start st "move-result-object"; reg_op st " " r; close st
   | Assign (l, New c) ->
+    dst st "new-instance" l;
     keyed st Arena.cat_new_instance (Descriptor.class_desc_sym c)
-      "new-instance" [ reg st l ]
   | Assign (l, New_array (t, n)) ->
-    let n = value_reg st n in
-    line st "new-array" [ reg st l; n; "[" ^ Descriptor.type_desc t ]
+    let rn = bind st n in
+    dst st "new-array" l; val_op st ", " n rn; str st ", [";
+    str st (Descriptor.type_desc t); close st
   | Assign (l, Array_get (a, i)) ->
-    let i = value_reg st i in
+    let ri = bind st i in
     let a = reg st a in
-    line st "aget-object" [ reg st l; a; i ]
+    dst st "aget-object" l; reg_op st ", " a; val_op st ", " i ri; close st
   | Assign (l, Instance_get (o, f)) ->
     let o = reg st o in
-    keyed st Arena.cat_field (Descriptor.field_desc_sym f) "iget-object"
-      [ reg st l; o ]
+    dst st "iget-object" l; reg_op st ", " o;
+    keyed st Arena.cat_field (Descriptor.field_desc_sym f)
   | Assign (l, Static_get f) ->
+    dst st "sget-object" l;
     keyed st Arena.cat_static_field (Descriptor.field_desc_sym f)
-      "sget-object" [ reg st l ]
   | Assign (l, Phi ls) ->
-    let ls = List.map (reg st) ls in
-    line st ".phi" [ reg st l ^ " = (" ^ String.concat ", " ls ^ ")" ]
-  | Assign (l, Param i) -> line st ".param" [ reg st l; "p" ^ string_of_int i ]
-  | Assign (l, This) -> line st ".this" [ reg st l ]
-  | Assign (l, Caught_exception) -> line st "move-exception" [ reg st l ]
+    List.iter (fun x -> ignore (reg st x)) ls;
+    dst st ".phi" l; str st " = (";
+    List.iteri (fun i x -> reg_op st (if i = 0 then "" else ", ") (reg st x)) ls;
+    str st ")"; close st
+  | Assign (l, Param i) ->
+    dst st ".param" l; str st ", p"; B.add_int st.tb i; close st
+  | Assign (l, This) -> dst st ".this" l; close st
+  | Assign (l, Caught_exception) -> dst st "move-exception" l; close st
   | Assign (l, Length v) ->
-    let v = value_reg st v in
-    line st "array-length" [ reg st l; v ]
+    let rv = bind st v in
+    dst st "array-length" l; val_op st ", " v rv; close st
   | Instance_put (o, f, v) ->
     let o = reg st o in
-    keyed st Arena.cat_field (Descriptor.field_desc_sym f) "iput-object"
-      [ value_reg st v; o ]
+    start st "iput-object"; val_op st " " v (bind st v); reg_op st ", " o;
+    keyed st Arena.cat_field (Descriptor.field_desc_sym f)
   | Static_put (f, v) ->
+    start st "sput-object"; val_op st " " v (bind st v);
     keyed st Arena.cat_static_field (Descriptor.field_desc_sym f)
-      "sput-object" [ value_reg st v ]
   | Array_put (a, i, v) ->
-    let i = value_reg st i in
+    let ri = bind st i in
     let a = reg st a in
-    line st "aput-object" [ value_reg st v; a; i ]
+    start st "aput-object"; val_op st " " v (bind st v); reg_op st ", " a;
+    val_op st ", " i ri; close st
   | Invoke iv -> invoke st iv
-  | Return (Some v) -> line st "return-object" [ value_reg st v ]
-  | Return None -> line st "return-void" []
+  | Return (Some v) ->
+    start st "return-object"; val_op st " " v (bind st v); close st
+  | Return None -> start st "return-void"; close st
   | If (op, a, b, target) ->
-    let b = value_reg st b in
-    let a = value_reg st a in
-    line st (binop_mnemonic op) [ a; b; Printf.sprintf ":cond_%04x" target ]
-  | Goto target -> line st "goto" [ Printf.sprintf ":goto_%04x" target ]
-  | Throw v -> line st "throw" [ value_reg st v ]
-  | Nop -> line st "nop" []
+    let rb = bind st b in
+    let ra = bind st a in
+    start st (binop_mnemonic op); val_op st " " a ra; val_op st ", " b rb;
+    str st ", :cond_"; B.add_hex4 st.tb target; close st
+  | Goto target -> start st "goto :goto_"; B.add_hex4 st.tb target; close st
+  | Throw v -> start st "throw"; val_op st " " v (bind st v); close st
+  | Nop -> start st "nop"; close st
 
 let header st parts =
   List.iter (str st) parts;
@@ -193,7 +206,7 @@ let header st parts =
 
 let render_class tb ab (c : Ir.Jclass.t) =
   let st =
-    { tb; ab; regs = Hashtbl.create 16; next = 0; owner = -1; stmt = 0 }
+    { tb; ab; regs = Regs.create 16; next = 0; owner = -1; stmt = 0 }
   in
   let super = match c.super with Some s -> class_op s | None -> "-" in
   header st [ "Class descriptor : '"; class_op c.name; "'" ];
@@ -207,7 +220,7 @@ let render_class tb ab (c : Ir.Jclass.t) =
   List.iter
     (fun (m : Ir.Jmethod.t) ->
        header st [ "  method "; Sym.to_string (Descriptor.meth_desc_sym m.msig) ];
-       Hashtbl.clear st.regs;
+       Regs.clear st.regs;
        st.next <- 0;
        match m.body with
        | Some body when Array.length body > 0 ->

@@ -128,24 +128,81 @@ module Builder = struct
       nv
     end
 
+  (* The slow paths of the appends below: each append checks capacity
+     inline and calls these only when a vector must grow. *)
   let reserve b n = b.buf <- grow Bvec.create b.buf ~keep:b.len ~need:(b.len + n)
 
   let reserve_lines b n =
     b.ends <- grow Ivec.create b.ends ~keep:(b.lines + 1) ~need:(b.lines + n + 1)
 
+  external get64 : string -> int -> int64 = "%caml_string_get64u"
+  external get32 : string -> int -> int32 = "%caml_string_get32u"
+  external get16 : string -> int -> int = "%caml_string_get16u"
+  external set64 : Bvec.t -> int -> int64 -> unit = "%caml_bigstring_set64u"
+  external set32 : Bvec.t -> int -> int32 -> unit = "%caml_bigstring_set32u"
+  external set16 : Bvec.t -> int -> int -> unit = "%caml_bigstring_set16u"
+
+  (* Whole words first, then a 4-, 2- and 1-byte tail. *)
   let add_string b s =
-    let n = String.length s in
-    reserve b n;
-    let buf = b.buf and base = b.len in
-    for i = 0 to n - 1 do
-      Bigarray.Array1.unsafe_set buf (base + i) (String.unsafe_get s i)
+    let n = String.length s and base = b.len in
+    if base + n > Bigarray.Array1.dim b.buf then reserve b n;
+    let buf = b.buf in
+    let i = ref 0 in
+    while !i + 8 <= n do
+      set64 buf (base + !i) (get64 s !i);
+      i := !i + 8
+    done;
+    let i = !i in
+    let i = if n land 4 = 0 then i else (set32 buf (base + i) (get32 s i); i + 4) in
+    let i = if n land 2 = 0 then i else (set16 buf (base + i) (get16 s i); i + 2) in
+    if n land 1 <> 0 then
+      Bigarray.Array1.unsafe_set buf (base + i) (String.unsafe_get s i);
+    b.len <- base + n
+
+  let add_char b c =
+    let base = b.len in
+    if base >= Bigarray.Array1.dim b.buf then reserve b 1;
+    Bigarray.Array1.unsafe_set b.buf base c;
+    b.len <- base + 1
+
+  (* [string_of_int i]: digits are produced least significant first, from a
+     non-positive value so that [min_int] needs no special case *)
+  let add_int b i =
+    let rec width v acc = if v > -10 then acc else width (v / 10) (acc + 1) in
+    let neg = if i < 0 then 1 else 0 in
+    let v = if i < 0 then i else -i in
+    let n = neg + width v 1 and base = b.len in
+    if base + n > Bigarray.Array1.dim b.buf then reserve b n;
+    let buf = b.buf in
+    if neg = 1 then Bigarray.Array1.unsafe_set buf base '-';
+    let v = ref v in
+    for p = base + n - 1 downto base + neg do
+      Bigarray.Array1.unsafe_set buf p (Char.unsafe_chr (48 - (!v mod 10)));
+      v := !v / 10
     done;
     b.len <- base + n
 
+  let hex = "0123456789abcdef"
+
+  (* [Printf.sprintf "%04x" i] *)
+  let add_hex4 b i =
+    if i < 0 || i > 0xffff then add_string b (Printf.sprintf "%04x" i)
+    else begin
+      let base = b.len in
+      if base + 4 > Bigarray.Array1.dim b.buf then reserve b 4;
+      let buf = b.buf in
+      for k = 0 to 3 do
+        Bigarray.Array1.unsafe_set buf (base + k)
+          (String.unsafe_get hex ((i lsr (12 - 4 * k)) land 15))
+      done;
+      b.len <- base + 4
+    end
+
   let end_line b =
-    reserve_lines b 1;
-    b.lines <- b.lines + 1;
-    Ivec.set b.ends b.lines b.len
+    let l = b.lines + 1 in
+    if l >= Bigarray.Array1.dim b.ends then reserve_lines b 1;
+    Bigarray.Array1.unsafe_set b.ends l b.len;
+    b.lines <- l
 
   let add_lines b (s : store) ~lo ~hi =
     let n = hi - lo in

@@ -65,6 +65,14 @@ module Builder : sig
   (** Append to the open line. *)
   val add_string : t -> string -> unit
 
+  val add_char : t -> char -> unit
+
+  (** Append [string_of_int i]. *)
+  val add_int : t -> int -> unit
+
+  (** Append [Printf.sprintf "%04x" i]. *)
+  val add_hex4 : t -> int -> unit
+
   (** Close the open line. *)
   val end_line : t -> unit
 
