@@ -347,7 +347,10 @@ let measure_search_mode ?(quantiles = false) ~name ~queries mk =
        List.iter
          (fun (h : Bytesearch.Engine.hit) ->
             incr hits;
-            fp := !fp lxor Hashtbl.hash (h.line_no, h.text))
+            fp :=
+              !fp
+              lxor Hashtbl.hash
+                     (h.line_no, Bytesearch.Engine.hit_text engine h))
          (Bytesearch.Engine.run_uncached engine q))
     queries;
   let t2 = Unix.gettimeofday () in
@@ -564,7 +567,10 @@ let run_queries engine queries =
        List.iter
          (fun (h : Bytesearch.Engine.hit) ->
             incr hits;
-            fp := !fp lxor Hashtbl.hash (h.line_no, h.text))
+            fp :=
+              !fp
+              lxor Hashtbl.hash
+                     (h.line_no, Bytesearch.Engine.hit_text engine h))
          (Bytesearch.Engine.run_uncached engine q))
     queries;
   ((Unix.gettimeofday () -. t0) *. 1e6, !hits, !fp)

@@ -302,10 +302,11 @@ let analyze_group ~cfg ~engine ~manifest ?replay group =
            match replay with
            | None -> None
            | Some pl ->
+             (* the memoized renderings: no signature is printed per site *)
              Resultcache.lookup pl
-               ~sink_msig:(Jsig.meth_to_string sink.Sinks.msig)
+               ~sink_msig:(Sym.to_string (Jsig.meth_sym sink.Sinks.msig))
                ~param_index:sink.Sinks.param_index
-               ~meth:(Jsig.meth_to_string meth) ~site
+               ~meth:(Sym.to_string (Jsig.meth_sym meth)) ~site
          in
          match replayed_entry with
          | Some e ->

@@ -34,27 +34,30 @@ type entry = {
   e_footprint : string list;  (** app classes the SSG slice touched *)
 }
 
+(* string-keyed tables, hashed and compared as strings *)
+module Stbl = Hashtbl.Make (String)
+
 type t = {
   classes : (string * int64) array;  (** app class-hash table at save time *)
   entries : entry list;
-  by_key : (string, entry) Hashtbl.t;
-  class_hash : (string, int64) Hashtbl.t;
+  by_key : entry Stbl.t;
+  class_hash : int64 Stbl.t;
 }
 
 let key ~sink_msig ~param_index ~meth ~site =
   Printf.sprintf "%s\x00%d\x00%s\x00%d" sink_msig param_index meth site
 
 let build ~classes entries =
-  let by_key = Hashtbl.create (max 16 (List.length entries)) in
+  let by_key = Stbl.create (max 16 (List.length entries)) in
   List.iter
     (fun e ->
-       Hashtbl.replace by_key
+       Stbl.replace by_key
          (key ~sink_msig:e.e_sink_msig ~param_index:e.e_param_index
             ~meth:e.e_meth ~site:e.e_site)
          e)
     entries;
-  let class_hash = Hashtbl.create (max 16 (Array.length classes)) in
-  Array.iter (fun (n, h) -> Hashtbl.replace class_hash n h) classes;
+  let class_hash = Stbl.create (max 16 (Array.length classes)) in
+  Array.iter (fun (n, h) -> Stbl.replace class_hash n h) classes;
   { classes; entries; by_key; class_hash }
 
 let empty = build ~classes:[||] []
@@ -307,42 +310,45 @@ let of_strings a =
 
 type plan = {
   p_cache : t;
-  p_valid : (string, bool) Hashtbl.t;  (* footprint class -> replayable *)
+  p_valid : bool Stbl.t;  (* footprint class -> replayable *)
 }
 
-(* Operand class of an arena slot, by category: callee class of an
-   invocation, field class of a field op, the descriptor itself for
-   new-instance / const-class.  Malformed operands (impossible for
+(* Operand class of an arena slot, by category: the class descriptor that
+   leads a callee or field signature ([Lcom/foo/Bar;.name:...]), or the
+   descriptor itself for new-instance / const-class.  Only that descriptor
+   is parsed, not the whole signature.  Malformed operands (impossible for
    disassembler output) resolve to no class. *)
 let slot_operand_class ~cat ~sym_id =
   if sym_id < 0 then None
   else
     let s = Sym.to_string (Sym.unsafe_of_id sym_id) in
-    try
-      if cat = Dex.Arena.cat_invoke then
-        Some (Sigformat.of_dex_meth s).Ir.Jsig.cls
-      else if cat = Dex.Arena.cat_field || cat = Dex.Arena.cat_static_field
-      then Some (Sigformat.of_dex_field s).Ir.Jsig.fcls
+    let desc =
+      if cat = Dex.Arena.cat_invoke || cat = Dex.Arena.cat_field
+         || cat = Dex.Arena.cat_static_field
+      then Option.map (fun dot -> String.sub s 0 dot) (String.index_opt s '.')
       else if cat = Dex.Arena.cat_new_instance
               || cat = Dex.Arena.cat_const_class
-      then Some (Sigformat.of_dex_class s)
+      then Some s
       else None
-    with _ -> None
+    in
+    match desc with
+    | Some d -> (try Some (Sigformat.of_dex_class d) with Invalid_argument _ -> None)
+    | None -> None
 
 let plan t ~(dex : Dex.Dexfile.t) =
   let cm = Dex.Dexfile.classmap dex in
   let arena = dex.Dex.Dexfile.arena in
-  let p_valid = Hashtbl.create 64 in
+  let p_valid = Stbl.create (max 16 (Stbl.length t.class_hash)) in
   if Classmap.length cm = 0 || Array.length t.classes = 0 then
     { p_cache = t; p_valid }
   else begin
     (* classes of the new build that changed or were added, and the app
        classes their operands reference *)
-    let touched = Hashtbl.create 64 in
+    let touched = Stbl.create 64 in
     for i = 0 to Classmap.length cm - 1 do
       let name = cm.Classmap.names.(i) in
       let changed =
-        match Hashtbl.find_opt t.class_hash name with
+        match Stbl.find_opt t.class_hash name with
         | Some h -> not (Int64.equal h cm.Classmap.ir_hash.(i))
         | None -> true
       in
@@ -353,35 +359,35 @@ let plan t ~(dex : Dex.Dexfile.t) =
               ~cat:(Ivec.get arena.Dex.Arena.cat slot)
               ~sym_id:(Ivec.get arena.Dex.Arena.sym slot)
           with
-          | Some cls -> Hashtbl.replace touched cls ()
+          | Some cls -> Stbl.replace touched cls ()
           | None -> ()
         done
     done;
     (* a footprint class is replay-safe iff it exists unchanged in the new
        build and no changed/added class references it *)
-    Hashtbl.iter
+    Stbl.iter
       (fun name h ->
          let ok =
            (match Classmap.ir_hash_of cm name with
             | Some h' -> Int64.equal h h'
             | None -> false)
-           && not (Hashtbl.mem touched name)
+           && not (Stbl.mem touched name)
          in
-         Hashtbl.replace p_valid name ok)
+         Stbl.replace p_valid name ok)
       t.class_hash;
     { p_cache = t; p_valid }
   end
 
 let lookup pl ~sink_msig ~param_index ~meth ~site =
   match
-    Hashtbl.find_opt pl.p_cache.by_key
+    Stbl.find_opt pl.p_cache.by_key
       (key ~sink_msig ~param_index ~meth ~site)
   with
   | Some e
     when e.e_footprint <> []
          && List.for_all
               (fun c ->
-                 match Hashtbl.find_opt pl.p_valid c with
+                 match Stbl.find_opt pl.p_valid c with
                  | Some ok -> ok
                  | None -> false)
               e.e_footprint ->

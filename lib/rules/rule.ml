@@ -145,12 +145,23 @@ let list_to_source rules =
    snapshots so artifacts warmed under one rule set are never silently
    reused under another. *)
 
+(* An analysis hashes its rule list on every run, nearly always the same
+   list: the last one hashed is remembered.  Rules are immutable, so a
+   physically equal list has the same hash. *)
+let last_hash = Atomic.make None
+
 let hash_list rules =
-  let src = list_to_source rules in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-       h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c)))
-              0x100000001b3L)
-    src;
-  Int64.to_int !h land max_int
+  match Atomic.get last_hash with
+  | Some (r, h) when r == rules -> h
+  | _ ->
+    let src = list_to_source rules in
+    let h = ref 0xcbf29ce484222325L in
+    for i = 0 to String.length src - 1 do
+      h :=
+        Int64.mul
+          (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get src i))))
+          0x100000001b3L
+    done;
+    let h = Int64.to_int !h land max_int in
+    Atomic.set last_hash (Some (rules, h));
+    h

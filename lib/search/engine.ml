@@ -32,7 +32,6 @@
 
 type hit = {
   line_no : int;
-  text : string;
   owner : Ir.Jsig.meth;     (** enclosing method of the matching line *)
   owner_cls : string;
   stmt_idx : int option;
@@ -100,6 +99,18 @@ module Packed = struct
       done
     | Coded b -> Postcodec.iter b ~pos:(Ivec.get t.offsets k) f
 
+  (** Write key index [k]'s slots into [dst] from index [at] (which must
+      have room); returns their count. *)
+  let blit_key t k (dst : Ivec.t) ~at =
+    match t.body with
+    | Flat slots ->
+      let lo = Ivec.get t.offsets k in
+      let n = Ivec.get t.offsets (k + 1) - lo in
+      Bigarray.Array1.blit
+        (Bigarray.Array1.sub slots lo n) (Bigarray.Array1.sub dst at n);
+      n
+    | Coded b -> Postcodec.decode_into b ~pos:(Ivec.get t.offsets k) dst ~at
+
   let n_slots t =
     match t.body with
     | Flat slots -> Ivec.length slots
@@ -125,18 +136,11 @@ module Packed = struct
     | Coded _ ->
       let nk = n_keys t in
       let offsets = Ivec.create (nk + 1) in
+      let slots = Ivec.create (n_slots t) in
       Ivec.set offsets 0 0;
-      let total = ref 0 in
       for k = 0 to nk - 1 do
-        total := !total + count t k;
-        Ivec.set offsets (k + 1) !total
-      done;
-      let slots = Ivec.create !total in
-      let pos = ref 0 in
-      for k = 0 to nk - 1 do
-        iter_key t k (fun slot ->
-            Ivec.set slots !pos slot;
-            incr pos)
+        Ivec.set offsets (k + 1)
+          (Ivec.get offsets k + blit_key t k slots ~at:(Ivec.get offsets k))
       done;
       { keys = t.keys; offsets; body = Flat slots }
 end
@@ -419,6 +423,8 @@ let note_ruleset t hash =
 
 let ruleset_stamp t = Atomic.get t.ruleset
 
+let hit_text t h = Dex.Dexfile.line_text t.dex h.line_no
+
 (* ------------------------------------------------------------------ *)
 (* Scan mode                                                           *)
 
@@ -429,7 +435,6 @@ let hit_of_slot t slot =
   let line_no = Ivec.get a.line_idx slot in
   let oid = Ivec.get a.owner_id slot in
   { line_no;
-    text = Dex.Dexfile.line_text t.dex line_no;
     owner = a.owners.(oid);
     owner_cls = a.owner_cls.(oid);
     stmt_idx =

@@ -18,10 +18,9 @@
     check this), so mode choice is purely a performance decision. *)
 
 (** One matching plaintext line, materialised from an arena slot only when a
-    query returns it. *)
+    query returns it.  Its text stays in the blob: see {!hit_text}. *)
 type hit = {
   line_no : int;              (** position in the merged dex plaintext *)
-  text : string;              (** the raw matching line *)
   owner : Ir.Jsig.meth;       (** enclosing method of the matching line *)
   owner_cls : string;         (** enclosing class *)
   stmt_idx : int option;      (** IR statement index, when the line is an
@@ -52,6 +51,10 @@ module Packed : sig
 
   (** Apply [f] to each slot of key index [k], ascending. *)
   val iter_key : t -> int -> (int -> unit) -> unit
+
+  (** Write key index [k]'s slots into [dst] from index [at] (which must
+      have room), ascending; returns their count. *)
+  val blit_key : t -> int -> Ivec.t -> at:int -> int
 
   (** Payload size in bytes (mapped or heap-side). *)
   val bytes : t -> int
@@ -107,6 +110,10 @@ val note_ruleset : t -> int -> [ `First | `Same | `Changed ]
 
 (** The rule-set hash last stamped on this engine, if any. *)
 val ruleset_stamp : t -> int option
+
+(** The raw text of a hit's line, read from the engine's text blob (the
+    analysis never needs it; tools that print hits do). *)
+val hit_text : t -> hit -> string
 
 (** Execute a query, consulting the query cache first. *)
 val run : t -> Query.t -> hit list

@@ -15,12 +15,16 @@ let put_varint buf n =
   done;
   Buffer.add_char buf (Char.chr !n)
 
-(* Fast unchecked decode: data was validated at load time. *)
+(* Fast unchecked decode: data was validated at load time.  The decoders
+   read bytes with the [Bigarray] primitive, which compiles inline, rather
+   than through a call to [Bvec.unsafe_u8] per byte. *)
+let u8 (b : Bvec.t) p = Char.code (Bigarray.Array1.unsafe_get b p)
+
 let get_varint (b : Bvec.t) pos =
   let x = ref 0 and shift = ref 0 and p = ref pos in
   let continue_ = ref true in
   while !continue_ do
-    let byte = Bvec.unsafe_u8 b !p in
+    let byte = u8 b !p in
     incr p;
     x := !x lor ((byte land 0x7f) lsl !shift);
     shift := !shift + 7;
@@ -107,7 +111,7 @@ let iter_word f base w =
   half 32 hi
 
 let get_word_le (b : Bvec.t) pos =
-  let u8 i = Int64.of_int (Bvec.unsafe_u8 b (pos + i)) in
+  let u8 i = Int64.of_int (u8 b (pos + i)) in
   let ( ||| ) = Int64.logor and ( <<< ) = Int64.shift_left in
   u8 0 ||| (u8 1 <<< 8) ||| (u8 2 <<< 16) ||| (u8 3 <<< 24)
   ||| (u8 4 <<< 32) ||| (u8 5 <<< 40) ||| (u8 6 <<< 48) ||| (u8 7 <<< 56)
@@ -115,7 +119,7 @@ let get_word_le (b : Bvec.t) pos =
 let iter b ~pos f =
   let n, p = get_varint b pos in
   if n > 0 then begin
-    let tag = Bvec.unsafe_u8 b p in
+    let tag = u8 b p in
     let p = p + 1 in
     if tag = tag_bitmap then begin
       let first, p = get_varint b p in
@@ -138,6 +142,47 @@ let iter b ~pos f =
       done
     end
   end
+
+(* The varint at [!p], advancing [p]. *)
+let next_varint b p =
+  let x = ref 0 and shift = ref 0 and byte = ref 0x80 in
+  while !byte >= 0x80 do
+    byte := u8 b !p;
+    incr p;
+    x := !x lor ((!byte land 0x7f) lsl !shift);
+    shift := !shift + 7
+  done;
+  !x
+
+(* [iter] writing into [dst] from index [at], returning the slot count;
+   no closure is called per slot. *)
+let decode_into b ~pos (dst : Ivec.t) ~at =
+  let p = ref pos in
+  let n = next_varint b p in
+  if n > 0 then begin
+    let tag = u8 b !p in
+    incr p;
+    let first = next_varint b p in
+    if tag = tag_bitmap then begin
+      let nwords = next_varint b p in
+      let q = ref at in
+      for w = 0 to nwords - 1 do
+        let word = get_word_le b (!p + (8 * w)) in
+        if word <> 0L then
+          iter_word
+            (fun s -> Bigarray.Array1.unsafe_set dst !q s; incr q)
+            (first + (64 * w)) word
+      done
+    end
+    else begin
+      Bigarray.Array1.unsafe_set dst at first;
+      for i = at + 1 to at + n - 1 do
+        Bigarray.Array1.unsafe_set dst i
+          (Bigarray.Array1.unsafe_get dst (i - 1) + next_varint b p + 1)
+      done
+    end
+  end;
+  n
 
 (* -- validation ------------------------------------------------------- *)
 

@@ -321,7 +321,8 @@ let handle_query t ~spec ~snapshot ~kind ~operand =
   | Ok q ->
     let t0 = now_us () in
     let session, _state = resolve_session t ~snapshot spec in
-    let hits = Bytesearch.Engine.run (D.session_engine session) q in
+    let engine = D.session_engine session in
+    let hits = Bytesearch.Engine.run engine q in
     let wall_us = now_us () -. t0 in
     Obs.Metrics.observe h_query_us wall_us;
     let lines =
@@ -330,7 +331,7 @@ let handle_query t ~spec ~snapshot ~kind ~operand =
              Printf.sprintf "%s:%d: %s"
                (Ir.Jsig.meth_to_string h.Bytesearch.Engine.owner)
                h.Bytesearch.Engine.line_no
-               (String.trim h.Bytesearch.Engine.text))
+               (String.trim (Bytesearch.Engine.hit_text engine h)))
     in
     Protocol.Queried { total = List.length hits; lines; wall_us }
 

@@ -666,43 +666,42 @@ let delta_report_to_string d =
     d.d_rebuilt_postings_bytes
 
 (* One category's postings for the patched build, CSR to CSR: the old rows
-   carried through [runs] (the old engine's keys are already live symbol
-   ids), the reused ranges of old slots as [(lo, hi, shift)] sorted by
-   [lo] — a slot outside them belongs to a removed or re-rendered class and
-   is dropped — merged key by key with [fresh], the re-rendered classes'
-   entries as ascending [key lsl 31 lor slot] codes. *)
-let patch_postings (old_p : Packed.t) ~runs ~monotone (fresh : int array) =
+   carried through the reused ranges of old slots [\[lo.(r), hi.(r))],
+   each moved by [shift.(r)] and sorted by [lo] (the old engine's keys are
+   already live symbol ids) — a slot outside them belongs to a removed or
+   re-rendered class and is dropped — merged key by key with [fresh], the
+   re-rendered classes' entries as ascending [key lsl 31 lor slot] codes. *)
+let patch_postings (old_p : Packed.t) ~runs:(rlo, rhi, rshift) ~monotone
+    (fresh : int array) =
   let nk_old = Packed.n_keys old_p and nf = Array.length fresh in
-  let keys = Ivec.create (nk_old + nf) in
-  let offsets = Ivec.create (nk_old + nf + 1) in
+  let keys : Ivec.t = Ivec.create (nk_old + nf) in
+  let offsets : Ivec.t = Ivec.create (nk_old + nf + 1) in
   let slots : Ivec.t = Ivec.create (Packed.n_slots old_p + nf) in
   Ivec.set offsets 0 0;
   let nk = ref 0 and pos = ref 0 and ki = ref 0 and fi = ref 0 in
-  let nr = Array.length runs in
-  (* map one old slot through [runs] (a key's slots ascend, so one cursor
-     follows them), dropping the slots of removed and re-rendered classes *)
-  let r = ref 0 in
-  let carry os =
-    while !r < nr && (let _, hi, _ = Array.unsafe_get runs !r in hi <= os) do
-      incr r
-    done;
-    if !r < nr then begin
-      let rlo, _, shift = Array.unsafe_get runs !r in
-      if os >= rlo then begin
-        Bigarray.Array1.unsafe_set slots !pos (os + shift);
-        incr pos
-      end
-    end
-  in
+  let nr = Array.length rlo in
   let carried = ref [||] in
+  let old_keys : Ivec.t = old_p.Packed.keys in
   while !ki < nk_old || !fi < nf do
-    let ko = if !ki < nk_old then Ivec.get old_p.Packed.keys !ki else max_int in
+    let ko =
+      if !ki < nk_old then Bigarray.Array1.unsafe_get old_keys !ki else max_int
+    in
     let kf = if !fi < nf then fresh.(!fi) lsr 31 else max_int in
-    let k = min ko kf in
+    let k = Int.min ko kf in
     let lo = !pos in
     if ko = k then begin
-      r := 0;
-      Packed.iter_key old_p !ki carry;
+      (* the key's old slots, decoded in place, then mapped through the
+         runs (they ascend, so one cursor follows them) and compacted *)
+      let n = Packed.blit_key old_p !ki slots ~at:lo in
+      let r = ref 0 in
+      for i = lo to lo + n - 1 do
+        let os = Bigarray.Array1.unsafe_get slots i in
+        while !r < nr && Array.unsafe_get rhi !r <= os do incr r done;
+        if !r < nr && os >= Array.unsafe_get rlo !r then begin
+          Bigarray.Array1.unsafe_set slots !pos (os + Array.unsafe_get rshift !r);
+          incr pos
+        end
+      done;
       incr ki
     end;
     let nc = !pos - lo in
@@ -739,9 +738,9 @@ let patch_postings (old_p : Packed.t) ~runs ~monotone (fresh : int array) =
       done
     end;
     if !pos > lo then begin
-      Ivec.set keys !nk k;
+      Bigarray.Array1.unsafe_set keys !nk k;
       incr nk;
-      Ivec.set offsets !nk !pos
+      Bigarray.Array1.unsafe_set offsets !nk !pos
     end
   done;
   let sub v n = Bigarray.Array1.sub v 0 n in
@@ -786,9 +785,13 @@ let delta_of_engine old_engine program =
              (c, ih, Some oi)
            | Some oi ->
              incr n_changed;
+             (* a method's slots are contiguous: one seed per run of them *)
              for s = cm_old.Classmap.slot_lo.(oi)
                  to cm_old.Classmap.slot_hi.(oi) - 1 do
-               seed := Ivec.get oa.Dex.Arena.owner_id s :: !seed
+               let id = Ivec.get oa.Dex.Arena.owner_id s in
+               match !seed with
+               | last :: _ when last = id -> ()
+               | _ -> seed := id :: !seed
              done;
              (c, ih, None)
            | None ->
@@ -886,8 +889,13 @@ let delta_of_engine old_engine program =
       Dex.Dexfile.v ~classmap texts (Dex.Arena.Builder.finish ab) program
     in
     let monotone = !monotone in
-    let runs = Array.of_list !runs in
-    Array.sort compare runs;
+    let runs =
+      let a = Array.of_list !runs in
+      Array.sort compare a;
+      ( Array.map (fun (lo, _, _) -> lo) a,
+        Array.map (fun (_, hi, _) -> hi) a,
+        Array.map (fun (_, _, shift) -> shift) a )
+    in
     let fresh_ranges = List.rev !fresh_ranges in
     (* the re-rendered slots' postings, per category, as
        [key lsl 31 lor slot] codes *)

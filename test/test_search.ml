@@ -107,7 +107,8 @@ let test_command_rendering () =
 
 (* -- rarest-first conjunctive planner -------------------------------- *)
 
-let hit_fingerprint (h : E.hit) = Printf.sprintf "%d:%s" h.line_no h.text
+let hit_fingerprint e (h : E.hit) =
+  Printf.sprintf "%d:%s" h.line_no (E.hit_text e h)
 
 (* The planner's contract, computed the slow way: primary hits whose owner
    matches every conjunct. *)
@@ -128,14 +129,14 @@ let test_conj_planner () =
   let aes = Q.const_string "AES" in
   let sf = Q.static_field_access (Dex.Descriptor.field_desc fld) in
   Alcotest.(check (list string)) "empty conjunction" []
-    (List.map hit_fingerprint (E.run_conj e []));
+    (List.map (hit_fingerprint e) (E.run_conj e []));
   Alcotest.(check (list string)) "singleton == run"
-    (List.map hit_fingerprint (E.run e inv))
-    (List.map hit_fingerprint (E.run_conj e [ inv ]));
+    (List.map (hit_fingerprint e) (E.run e inv))
+    (List.map (hit_fingerprint e) (E.run_conj e [ inv ]));
   (* s.A.go and s.B.go both invoke enc and carry "AES" *)
   Alcotest.(check (list string)) "agreeing conjunct keeps all hits"
-    (List.map hit_fingerprint (E.run e inv))
-    (List.map hit_fingerprint (E.run_conj e [ inv; aes ]));
+    (List.map (hit_fingerprint e) (E.run e inv))
+    (List.map (hit_fingerprint e) (E.run_conj e [ inv; aes ]));
   (* no method both invokes enc and touches s.Cfg.SPEC: short-circuit *)
   Alcotest.(check int) "disjoint conjunct empties the result" 0
     (List.length (E.run_conj e [ inv; sf ]))
@@ -155,15 +156,15 @@ let test_conj_matches_manual_across_modes () =
   List.iter
     (fun plan ->
        let expect =
-         List.map hit_fingerprint
+         List.map (hit_fingerprint e)
            (manual_conj e (List.hd plan) (List.tl plan))
        in
        Alcotest.(check (list string)) "indexed planner == manual filter"
          expect
-         (List.map hit_fingerprint (E.run_conj e plan));
+         (List.map (hit_fingerprint e) (E.run_conj e plan));
        Alcotest.(check (list string)) "scan planner == indexed planner"
          expect
-         (List.map hit_fingerprint (E.run_conj scan plan)))
+         (List.map (hit_fingerprint scan) (E.run_conj scan plan)))
     plans
 
 (* property: searching for a generated static callee always finds the call

@@ -186,7 +186,8 @@ let test_v1_version_skew () =
     (E.index_mode e1);
   let q = Bytesearch.Query.raw "invoke-static" in
   let fp e =
-    List.map (fun (h : E.hit) -> Printf.sprintf "%d:%s" h.line_no h.text)
+    List.map
+      (fun (h : E.hit) -> Printf.sprintf "%d:%s" h.line_no (E.hit_text e h))
       (E.run e q)
   in
   Alcotest.(check (list string)) "v1 hits == v2 hits" (fp e2) (fp e1);
@@ -234,7 +235,8 @@ let test_prefault_load () =
   let cold = load () and hot = load ~prefault:true () in
   let q = Bytesearch.Query.raw "invoke-static" in
   let fp e =
-    List.map (fun (h : E.hit) -> Printf.sprintf "%d:%s" h.line_no h.text)
+    List.map
+      (fun (h : E.hit) -> Printf.sprintf "%d:%s" h.line_no (E.hit_text e h))
       (E.run e q)
   in
   Alcotest.(check bool) "prefaulted engine finds hits" true (fp hot <> []);
