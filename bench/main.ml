@@ -57,10 +57,12 @@ let fixture_app ~seed ~mb ~sinks =
       plants }
 
 let medium = lazy (fixture_app ~seed:5 ~mb:20.0 ~sinks:10)
+let large = lazy (fixture_app ~seed:8 ~mb:40.0 ~sinks:10)
 let small = lazy (fixture_app ~seed:6 ~mb:5.0 ~sinks:5)
 
 let micro_tests () =
   let medium = Lazy.force medium and small = Lazy.force small in
+  let large = Lazy.force large in
   let indexed_engine = Bytesearch.Engine.create medium.G.dex in
   let rendered = Dex.Disasm.render (Dex.Disasm.app_classes medium.G.program) in
   let scan_engine = Bytesearch.Engine.create ~indexed:false medium.G.dex in
@@ -107,6 +109,10 @@ let micro_tests () =
        is built on demand, so it is timed on its own *)
     Test.make ~name:"preprocess/disassemble-20mb"
       (Staged.stage (fun () -> Dex.Dexfile.of_program medium.G.program));
+    (* twice the size: a render cost that grows faster than the app shows
+       as more than twice the time *)
+    Test.make ~name:"preprocess/disassemble-40mb"
+      (Staged.stage (fun () -> Dex.Dexfile.of_program large.G.program));
     Test.make ~name:"preprocess/classmap-20mb"
       (Staged.stage (fun () ->
            Dex.Classmap.build ~names:rendered.Dex.Disasm.class_names

@@ -45,7 +45,8 @@ type t = {
 }
 
 let key ~sink_msig ~param_index ~meth ~site =
-  Printf.sprintf "%s\x00%d\x00%s\x00%d" sink_msig param_index meth site
+  String.concat "\x00"
+    [ sink_msig; string_of_int param_index; meth; string_of_int site ]
 
 let build ~classes entries =
   let by_key = Stbl.create (max 16 (List.length entries)) in
@@ -310,7 +311,8 @@ let of_strings a =
 
 type plan = {
   p_cache : t;
-  p_valid : bool Stbl.t;  (* footprint class -> replayable *)
+  p_classmap : Classmap.t;  (* the new build's *)
+  p_touched : unit Stbl.t;  (* app classes a changed or added class references *)
 }
 
 (* Operand class of an arena slot, by category: the class descriptor that
@@ -338,13 +340,10 @@ let slot_operand_class ~cat ~sym_id =
 let plan t ~(dex : Dex.Dexfile.t) =
   let cm = Dex.Dexfile.classmap dex in
   let arena = dex.Dex.Dexfile.arena in
-  let p_valid = Stbl.create (max 16 (Stbl.length t.class_hash)) in
-  if Classmap.length cm = 0 || Array.length t.classes = 0 then
-    { p_cache = t; p_valid }
-  else begin
+  let touched = Stbl.create 64 in
+  if Classmap.length cm > 0 && Array.length t.classes > 0 then
     (* classes of the new build that changed or were added, and the app
        classes their operands reference *)
-    let touched = Stbl.create 64 in
     for i = 0 to Classmap.length cm - 1 do
       let name = cm.Classmap.names.(i) in
       let changed =
@@ -363,20 +362,18 @@ let plan t ~(dex : Dex.Dexfile.t) =
           | None -> ()
         done
     done;
-    (* a footprint class is replay-safe iff it exists unchanged in the new
-       build and no changed/added class references it *)
-    Stbl.iter
-      (fun name h ->
-         let ok =
-           (match Classmap.ir_hash_of cm name with
-            | Some h' -> Int64.equal h h'
-            | None -> false)
-           && not (Stbl.mem touched name)
-         in
-         Stbl.replace p_valid name ok)
-      t.class_hash;
-    { p_cache = t; p_valid }
-  end
+  { p_cache = t; p_classmap = cm; p_touched = touched }
+
+(* A footprint class is replay-safe iff it exists unchanged in the new
+   build and no changed/added class references it. *)
+let replayable pl c =
+  match Stbl.find_opt pl.p_cache.class_hash c with
+  | None -> false
+  | Some h ->
+    (match Classmap.ir_hash_of pl.p_classmap c with
+     | Some h' -> Int64.equal h h'
+     | None -> false)
+    && not (Stbl.mem pl.p_touched c)
 
 let lookup pl ~sink_msig ~param_index ~meth ~site =
   match
@@ -385,11 +382,6 @@ let lookup pl ~sink_msig ~param_index ~meth ~site =
   with
   | Some e
     when e.e_footprint <> []
-         && List.for_all
-              (fun c ->
-                 match Stbl.find_opt pl.p_valid c with
-                 | Some ok -> ok
-                 | None -> false)
-              e.e_footprint ->
+         && List.for_all (replayable pl) e.e_footprint ->
     Some e
   | Some _ | None -> None

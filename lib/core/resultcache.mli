@@ -55,10 +55,11 @@ val of_strings : string array -> (t, string) result
 (** A replay plan: the cache diffed against one new build. *)
 type plan
 
-(** Diff [t]'s class-hash table against [dex]'s classmap and precompute,
-    for every cached footprint class, whether it is replay-safe (unchanged
-    and unreferenced by any changed/added class's operands).  With an
-    empty classmap (no delta provenance) nothing is replayable. *)
+(** Diff [t]'s class-hash table against [dex]'s classmap, collecting the
+    app classes that changed or added classes reference by operand.  A
+    footprint class is then replay-safe when it is unchanged and not
+    among them ({!lookup} checks).  With an empty classmap (no delta
+    provenance) nothing is replayable. *)
 val plan : t -> dex:Dex.Dexfile.t -> plan
 
 (** The cached entry for this sink call site, iff its whole footprint is

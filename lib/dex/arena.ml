@@ -113,13 +113,17 @@ module Builder = struct
       b.n <- b.n + k
     end
 
+  let extend base = function
+    | [] -> base
+    | added -> Array.append base (Array.of_list (List.rev added))
+
   let finish b : arena =
     let col j = Bigarray.Array1.sub b.cols.(j) 0 b.n in
     { line_idx = col 0; stmt_idx = col 1; owner_id = col 2; cat = col 3;
       sym = col 4;
-      owners = Array.append b.base_owners (Array.of_list (List.rev b.owners));
-      owner_cls =
-        Array.append b.base_owner_cls (Array.of_list (List.rev b.owner_cls)) }
+      (* with no owner added, the base tables are shared as they are *)
+      owners = extend b.base_owners b.owners;
+      owner_cls = extend b.base_owner_cls b.owner_cls }
 end
 
 let empty = Builder.finish (Builder.create ())

@@ -24,10 +24,8 @@ let binop_mnemonic = function
   | Gt -> "if-gt" | Ge -> "if-ge"
 
 let invoke_mnemonic = function
-  | Ir.Expr.Virtual -> "invoke-virtual"
-  | Special -> "invoke-direct"
-  | Static -> "invoke-static"
-  | Interface -> "invoke-interface"
+  | Ir.Expr.Virtual -> "invoke-virtual" | Special -> "invoke-direct"
+  | Static -> "invoke-static" | Interface -> "invoke-interface"
 
 (* Interned operand rendering: the interned string is spliced into the line
    text, so the symbol and the text share memory. *)
@@ -51,9 +49,7 @@ let reg st (l : Ir.Value.local) =
   | n -> n
   | exception Not_found ->
     let n = st.next in
-    st.next <- n + 1;
-    Regs.add st.regs l.id n;
-    n
+    st.next <- n + 1; Regs.add st.regs l.id n; n
 
 (* A value's register, or [-1] for an inline constant. *)
 let bind st = function Ir.Value.Local l -> reg st l | Const _ -> -1
@@ -63,10 +59,9 @@ let str st s = B.add_string st.tb s
 (* [sep] then register [vN] *)
 let reg_op st sep n = str st sep; B.add_char st.tb 'v'; B.add_int st.tb n
 
-(* [sep] then value [v], bound to register [r] by {!bind}.  dexdump shows a
-   register; constants are materialised by a preceding const instruction in
-   real bytecode.  For inline constant operands we show the literal, which
-   search never targets. *)
+(* [sep] then value [v], bound to register [r] by {!bind}.  An inline
+   constant (real bytecode loads it with a const instruction first) shows
+   as its literal, which search never targets. *)
 let val_op st sep (v : Ir.Value.t) r =
   match v with
   | Local _ -> reg_op st sep r
@@ -84,17 +79,17 @@ let val_op st sep (v : Ir.Value.t) r =
 let start st mn =
   str st "    "; B.add_hex4 st.tb st.stmt; str st ": "; str st mn
 
-(* ... followed by its destination register *)
+(* ... followed by its destination register, or by a source value *)
 let dst st mn l = start st mn; reg_op st " " (reg st l)
+let src st mn v = start st mn; val_op st " " v (bind st v)
 
-(* Close the line and add its arena slot. *)
+(* Close the line and add its arena slot; a keyed line's operand [sym] is
+   its last operand. *)
 let slot st cat sym =
   A.add st.ab ~line:(B.lines st.tb) ~stmt:st.stmt ~owner:st.owner ~cat ~sym;
   B.end_line st.tb
 
 let close st = slot st Arena.cat_none (-1)
-
-(* A keyed line's operand [sym] is its last operand. *)
 let keyed st cat sym =
   str st ", "; str st (Sym.to_string sym); slot st cat (Sym.id sym)
 
@@ -106,7 +101,8 @@ let invoke st (iv : Ir.Expr.invoke) =
   str st " {";
   if base >= 0 then reg_op st "" base;
   List.iteri
-    (fun i a -> val_op st (if i = 0 && base < 0 then "" else ", ") a (bind st a))
+    (fun i a ->
+       val_op st (if i = 0 && base < 0 then "" else ", ") a (bind st a))
     iv.args;
   str st "}";
   keyed st Arena.cat_invoke (Descriptor.meth_desc_sym iv.callee)
@@ -122,12 +118,16 @@ let stmt st (s : Ir.Stmt.t) =
   | Assign (l, Imm (Const (Class_c c))) ->
     dst st "const-class" l;
     keyed st Arena.cat_const_class (Descriptor.class_desc_sym c)
-  | Assign (l, Imm (Const Null)) -> dst st "const/4" l; str st ", #int 0"; close st
+  | Assign (l, Imm (Const Null)) ->
+    dst st "const/4" l; str st ", #int 0"; close st
   | Assign (l, Imm (Const (Double_c f))) ->
     dst st "const-wide" l; str st (Printf.sprintf ", #double %f" f); close st
-  | Assign (l, Imm (Const c as v)) ->
-    dst st (match c with Int_c _ -> "const/16" | Long_c _ -> "const-wide" | _ -> "const") l;
-    val_op st ", " v (-1); close st
+  | Assign (l, Imm (Const (Int_c _) as v)) ->
+    dst st "const/16" l; val_op st ", " v (-1); close st
+  | Assign (l, Imm (Const (Long_c _) as v)) ->
+    dst st "const-wide" l; val_op st ", " v (-1); close st
+  | Assign (l, Imm (Const (Float_c _) as v)) ->
+    dst st "const" l; val_op st ", " v (-1); close st
   | Assign (l, Imm (Local x)) ->
     let x = reg st x in
     dst st "move-object" l; reg_op st ", " x; close st
@@ -137,14 +137,13 @@ let stmt st (s : Ir.Stmt.t) =
     dst st (binop_mnemonic op) l; val_op st ", " a ra; val_op st ", " b rb;
     close st
   | Assign (l, Cast (t, v)) ->
-    let r = reg st l in
-    start st "move-object"; reg_op st " " r; val_op st ", " v (bind st v);
-    close st;
-    start st "check-cast"; reg_op st " " r; str st ", ";
-    str st (Descriptor.type_desc t); close st
+    ignore (reg st l);
+    dst st "move-object" l; val_op st ", " v (bind st v); close st;
+    dst st "check-cast" l; str st ", "; str st (Descriptor.type_desc t);
+    close st
   | Assign (l, Invoke iv) ->
-    let r = reg st l in
-    invoke st iv; start st "move-result-object"; reg_op st " " r; close st
+    ignore (reg st l);
+    invoke st iv; dst st "move-result-object" l; close st
   | Assign (l, New c) ->
     dst st "new-instance" l;
     keyed st Arena.cat_new_instance (Descriptor.class_desc_sym c)
@@ -166,7 +165,8 @@ let stmt st (s : Ir.Stmt.t) =
   | Assign (l, Phi ls) ->
     List.iter (fun x -> ignore (reg st x)) ls;
     dst st ".phi" l; str st " = (";
-    List.iteri (fun i x -> reg_op st (if i = 0 then "" else ", ") (reg st x)) ls;
+    List.iteri
+      (fun i x -> reg_op st (if i = 0 then "" else ", ") (reg st x)) ls;
     str st ")"; close st
   | Assign (l, Param i) ->
     dst st ".param" l; str st ", p"; B.add_int st.tb i; close st
@@ -177,19 +177,17 @@ let stmt st (s : Ir.Stmt.t) =
     dst st "array-length" l; val_op st ", " v rv; close st
   | Instance_put (o, f, v) ->
     let o = reg st o in
-    start st "iput-object"; val_op st " " v (bind st v); reg_op st ", " o;
+    src st "iput-object" v; reg_op st ", " o;
     keyed st Arena.cat_field (Descriptor.field_desc_sym f)
   | Static_put (f, v) ->
-    start st "sput-object"; val_op st " " v (bind st v);
+    src st "sput-object" v;
     keyed st Arena.cat_static_field (Descriptor.field_desc_sym f)
   | Array_put (a, i, v) ->
     let ri = bind st i in
     let a = reg st a in
-    start st "aput-object"; val_op st " " v (bind st v); reg_op st ", " a;
-    val_op st ", " i ri; close st
+    src st "aput-object" v; reg_op st ", " a; val_op st ", " i ri; close st
   | Invoke iv -> invoke st iv
-  | Return (Some v) ->
-    start st "return-object"; val_op st " " v (bind st v); close st
+  | Return (Some v) -> src st "return-object" v; close st
   | Return None -> start st "return-void"; close st
   | If (op, a, b, target) ->
     let rb = bind st b in
@@ -197,7 +195,7 @@ let stmt st (s : Ir.Stmt.t) =
     start st (binop_mnemonic op); val_op st " " a ra; val_op st ", " b rb;
     str st ", :cond_"; B.add_hex4 st.tb target; close st
   | Goto target -> start st "goto :goto_"; B.add_hex4 st.tb target; close st
-  | Throw v -> start st "throw"; val_op st " " v (bind st v); close st
+  | Throw v -> src st "throw" v; close st
   | Nop -> start st "nop"; close st
 
 let header st parts =

@@ -130,7 +130,8 @@ module Builder = struct
 
   (* The slow paths of the appends below: each append checks capacity
      inline and calls these only when a vector must grow. *)
-  let reserve b n = b.buf <- grow Bvec.create b.buf ~keep:b.len ~need:(b.len + n)
+  let reserve b n =
+    b.buf <- grow Bvec.create b.buf ~keep:b.len ~need:(b.len + n)
 
   let reserve_lines b n =
     b.ends <- grow Ivec.create b.ends ~keep:(b.lines + 1) ~need:(b.lines + n + 1)
@@ -153,8 +154,10 @@ module Builder = struct
       i := !i + 8
     done;
     let i = !i in
-    let i = if n land 4 = 0 then i else (set32 buf (base + i) (get32 s i); i + 4) in
-    let i = if n land 2 = 0 then i else (set16 buf (base + i) (get16 s i); i + 2) in
+    if n land 4 <> 0 then set32 buf (base + i) (get32 s i);
+    let i = i + (n land 4) in
+    if n land 2 <> 0 then set16 buf (base + i) (get16 s i);
+    let i = i + (n land 2) in
     if n land 1 <> 0 then
       Bigarray.Array1.unsafe_set buf (base + i) (String.unsafe_get s i);
     b.len <- base + n

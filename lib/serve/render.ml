@@ -7,7 +7,7 @@ module D = Backdroid.Driver
 module Sinks = Framework.Sinks
 
 let analyzed_line ~app_name ~seconds (r : D.result) =
-  Printf.sprintf "analyzed %s in %.3fs: %d sink calls" app_name seconds
+  Printf.sprintf "analyzed %s in %.6fs: %d sink calls" app_name seconds
     r.D.stats.D.sink_calls
 
 let report_line (rep : D.sink_report) =

@@ -3,7 +3,8 @@
     through these, which is what makes served reports byte-identical to
     one-shot reports. *)
 
-(** ["analyzed <app> in <t>s: <n> sink calls"]. *)
+(** ["analyzed <app> in <t>s: <n> sink calls"], [<t>] in seconds to the
+    microsecond. *)
 val analyzed_line :
   app_name:string -> seconds:float -> Backdroid.Driver.result -> string
 

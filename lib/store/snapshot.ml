@@ -670,13 +670,13 @@ let delta_report_to_string d =
    each moved by [shift.(r)] and sorted by [lo] (the old engine's keys are
    already live symbol ids) — a slot outside them belongs to a removed or
    re-rendered class and is dropped — merged key by key with [fresh], the
-   re-rendered classes' entries as ascending [key lsl 31 lor slot] codes. *)
+   re-rendered classes' entries as ascending [key lsl 31 lor slot] codes.
+   The table is written into [keys], [offsets] and [slots], which have room
+   for every old and fresh key and slot. *)
 let patch_postings (old_p : Packed.t) ~runs:(rlo, rhi, rshift) ~monotone
-    (fresh : int array) =
+    (fresh : int array) ~(keys : Ivec.t) ~(offsets : Ivec.t)
+    ~(slots : Ivec.t) =
   let nk_old = Packed.n_keys old_p and nf = Array.length fresh in
-  let keys : Ivec.t = Ivec.create (nk_old + nf) in
-  let offsets : Ivec.t = Ivec.create (nk_old + nf + 1) in
-  let slots : Ivec.t = Ivec.create (Packed.n_slots old_p + nf) in
   Ivec.set offsets 0 0;
   let nk = ref 0 and pos = ref 0 and ki = ref 0 and fi = ref 0 in
   let nr = Array.length rlo in
@@ -915,10 +915,35 @@ let delta_of_engine old_engine program =
            codes)
         fresh
     in
+    (* the seven tables share one allocation per column *)
+    let olds = Engine.export_packed old_engine in
+    let room =
+      Array.mapi
+        (fun c p ->
+           let nf = Array.length fresh.(c) in
+           (Packed.n_keys p + nf, Packed.n_slots p + nf))
+        olds
+    in
+    let total f = Array.fold_left (fun n r -> n + f r) 0 room in
+    let all_keys = Ivec.create (total fst)
+    and all_offsets = Ivec.create (total fst + n_categories)
+    and all_slots = Ivec.create (total snd) in
+    let ko = ref 0 and so = ref 0 in
     let tables =
       Array.mapi
-        (fun c old_p -> patch_postings old_p ~runs ~monotone fresh.(c))
-        (Engine.export_packed old_engine)
+        (fun c old_p ->
+           let nk, ns = room.(c) in
+           let sub v o n = Bigarray.Array1.sub v o n in
+           let t =
+             patch_postings old_p ~runs ~monotone fresh.(c)
+               ~keys:(sub all_keys !ko nk)
+               ~offsets:(sub all_offsets (!ko + c) (nk + 1))
+               ~slots:(sub all_slots !so ns)
+           in
+           ko := !ko + nk;
+           so := !so + ns;
+           t)
+        olds
     in
     let n_fresh = Array.fold_left (fun n a -> n + Array.length a) 0 fresh in
     let carried =
