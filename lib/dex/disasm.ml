@@ -239,9 +239,15 @@ type rendered = {
   class_starts : int array;
 }
 
+(* Capacities from the statement count (a line averages under 40 bytes),
+   so the builders rarely regrow and leave no outgrown buffers behind. *)
 let render classes =
-  let tb = B.create ~bytes:65536 ~lines:2048 ()
-  and ab = A.create ~slots:2048 () in
+  let size n (m : Ir.Jmethod.t) =
+    n + 1 + match m.body with Some b -> Array.length b | None -> 0 in
+  let n = List.fold_left (fun n (c : Ir.Jclass.t) ->
+      List.fold_left size (n + 4) c.methods) 0 classes in
+  let tb = B.create ~bytes:(48 * n) ~lines:(n + n / 8) ()
+  and ab = A.create ~slots:(n + n / 8) () in
   let names = ref [] and starts = ref [] in
   List.iter
     (fun (c : Ir.Jclass.t) ->
