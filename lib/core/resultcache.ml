@@ -312,7 +312,7 @@ let of_strings a =
 type plan = {
   p_cache : t;
   p_classmap : Classmap.t;  (* the new build's *)
-  p_touched : unit Stbl.t;  (* app classes a changed or added class references *)
+  p_touched : unit Stbl.t;  (* classes a changed or added class references *)
 }
 
 (* Operand class of an arena slot, by category: the class descriptor that
@@ -334,7 +334,8 @@ let slot_operand_class ~cat ~sym_id =
       else None
     in
     match desc with
-    | Some d -> (try Some (Sigformat.of_dex_class d) with Invalid_argument _ -> None)
+    | Some d ->
+      (try Some (Sigformat.of_dex_class d) with Invalid_argument _ -> None)
     | None -> None
 
 let plan t ~(dex : Dex.Dexfile.t) =

@@ -20,17 +20,16 @@ let put_varint buf n =
    than through a call to [Bvec.unsafe_u8] per byte. *)
 let u8 (b : Bvec.t) p = Char.code (Bigarray.Array1.unsafe_get b p)
 
-let get_varint (b : Bvec.t) pos =
-  let x = ref 0 and shift = ref 0 and p = ref pos in
-  let continue_ = ref true in
-  while !continue_ do
-    let byte = u8 b !p in
+(* The varint at [!p], advancing [p]. *)
+let next_varint b p =
+  let x = ref 0 and shift = ref 0 and byte = ref 0x80 in
+  while !byte >= 0x80 do
+    byte := u8 b !p;
     incr p;
-    x := !x lor ((byte land 0x7f) lsl !shift);
-    shift := !shift + 7;
-    if byte < 0x80 then continue_ := false
+    x := !x lor ((!byte land 0x7f) lsl !shift);
+    shift := !shift + 7
   done;
-  (!x, !p)
+  !x
 
 (* Careful decode for validation: bounds-checked, rejects overlong and
    overflowing encodings instead of wrapping. *)
@@ -92,7 +91,7 @@ let encode_array buf a =
 
 (* -- decoding --------------------------------------------------------- *)
 
-let count b ~pos = fst (get_varint b pos)
+let count b ~pos = next_varint b (ref pos)
 
 (* Iterate one word of bitmap as two 32-bit halves — no Int64 allocation
    per bit test once flambda-less OCaml unboxes the locals. *)
@@ -117,42 +116,29 @@ let get_word_le (b : Bvec.t) pos =
   ||| (u8 4 <<< 32) ||| (u8 5 <<< 40) ||| (u8 6 <<< 48) ||| (u8 7 <<< 56)
 
 let iter b ~pos f =
-  let n, p = get_varint b pos in
+  let p = ref pos in
+  let n = next_varint b p in
   if n > 0 then begin
-    let tag = u8 b p in
-    let p = p + 1 in
+    let tag = u8 b !p in
+    incr p;
+    let first = next_varint b p in
     if tag = tag_bitmap then begin
-      let first, p = get_varint b p in
-      let nwords, p = get_varint b p in
+      let nwords = next_varint b p in
       for w = 0 to nwords - 1 do
-        let word = get_word_le b (p + (8 * w)) in
+        let word = get_word_le b (!p + (8 * w)) in
         if word <> 0L then iter_word f (first + (64 * w)) word
       done
     end
     else begin
-      let first, p = get_varint b p in
       f first;
-      let prev = ref first and p = ref p in
+      let prev = ref first in
       for _ = 2 to n do
-        let d, p' = get_varint b !p in
-        p := p';
-        let s = !prev + d + 1 in
+        let s = !prev + next_varint b p + 1 in
         f s;
         prev := s
       done
     end
   end
-
-(* The varint at [!p], advancing [p]. *)
-let next_varint b p =
-  let x = ref 0 and shift = ref 0 and byte = ref 0x80 in
-  while !byte >= 0x80 do
-    byte := u8 b !p;
-    incr p;
-    x := !x lor ((!byte land 0x7f) lsl !shift);
-    shift := !shift + 7
-  done;
-  !x
 
 (* [iter] writing into [dst] from index [at], returning the slot count;
    no closure is called per slot. *)

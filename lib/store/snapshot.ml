@@ -698,7 +698,8 @@ let patch_postings (old_p : Packed.t) ~runs:(rlo, rhi, rshift) ~monotone
         let os = Bigarray.Array1.unsafe_get slots i in
         while !r < nr && Array.unsafe_get rhi !r <= os do incr r done;
         if !r < nr && os >= Array.unsafe_get rlo !r then begin
-          Bigarray.Array1.unsafe_set slots !pos (os + Array.unsafe_get rshift !r);
+          Bigarray.Array1.unsafe_set slots !pos
+            (os + Array.unsafe_get rshift !r);
           incr pos
         end
       done;

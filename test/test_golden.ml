@@ -81,7 +81,8 @@ let fixture_program () =
           S.Assign (loc ~ty:str_t "p0", E.Param 0);
           S.Assign (loc ~ty:T.Int "p1", E.Param 1);
           S.Assign (loc "exc", E.Caught_exception) ];
-        List.mapi (fun i k -> S.Assign (loc ("k" ^ string_of_int i), E.Imm (c k)))
+        List.mapi
+          (fun i k -> S.Assign (loc ("k" ^ string_of_int i), E.Imm (c k)))
           consts;
         List.map (fun k -> S.Assign (loc "kv", E.Imm (c k))) consts;
         [ S.Assign (loc "mv", E.Imm (l "k3")) ];
@@ -101,7 +102,8 @@ let fixture_program () =
           S.Invoke { E.kind = E.Special; callee = meth base "<init>";
                      base = Some (loc "obj"); args = [] };
           S.Assign (loc "r1",
-                    E.Invoke { E.kind = E.Virtual; callee; base = Some (loc "obj");
+                    E.Invoke { E.kind = E.Virtual; callee;
+                               base = Some (loc "obj");
                                args = [ l "p0"; c (V.Int_c (-3)) ] });
           S.Assign (loc "r2",
                     E.Invoke { E.kind = E.Static; callee = meth base "make";
@@ -109,7 +111,8 @@ let fixture_program () =
           S.Invoke { E.kind = E.Interface; callee; base = Some (loc "r2");
                      args = [ c (V.Str_c "a\"b"); c (V.Long_c (-1L)) ] };
           S.Invoke { E.kind = E.Static;
-                     callee = meth base "all" ~params:[ obj; obj; obj; obj; obj ];
+                     callee =
+                       meth base "all" ~params:[ obj; obj; obj; obj; obj ];
                      base = None;
                      args = [ c V.Null; c (V.Class_c "a.B"); c (V.Float_c 2.0);
                               c (V.Double_c 0.1); l "fresh" ] };
@@ -174,7 +177,8 @@ let fixture_program () =
       cls
   in
   let basec =
-    Ir.Jclass.make ~methods:[ body ~owner:base "<init>" [| S.Return None |] ] base
+    Ir.Jclass.make
+      ~methods:[ body ~owner:base "<init>" [| S.Return None |] ] base
   in
   Ir.Program.of_classes [ kitchen; basec ]
 
