@@ -49,7 +49,9 @@ let reg st (l : Ir.Value.local) =
   | n -> n
   | exception Not_found ->
     let n = st.next in
-    st.next <- n + 1; Regs.add st.regs l.id n; n
+    st.next <- n + 1;
+    Regs.add st.regs l.id n;
+    n
 
 (* A value's register, or [-1] for an inline constant. *)
 let bind st = function Ir.Value.Local l -> reg st l | Const _ -> -1
