@@ -65,6 +65,7 @@ module Builder : sig
   (** Append to the open line. *)
   val add_string : t -> string -> unit
 
+  (** Append one byte. *)
   val add_char : t -> char -> unit
 
   (** Append [string_of_int i]. *)
