@@ -99,18 +99,6 @@ module Packed = struct
       done
     | Coded b -> Postcodec.iter b ~pos:(Ivec.get t.offsets k) f
 
-  (** Write key index [k]'s slots into [dst] from index [at] (which must
-      have room); returns their count. *)
-  let blit_key t k (dst : Ivec.t) ~at =
-    match t.body with
-    | Flat slots ->
-      let lo = Ivec.get t.offsets k in
-      let n = Ivec.get t.offsets (k + 1) - lo in
-      Bigarray.Array1.blit
-        (Bigarray.Array1.sub slots lo n) (Bigarray.Array1.sub dst at n);
-      n
-    | Coded b -> Postcodec.decode_into b ~pos:(Ivec.get t.offsets k) dst ~at
-
   let n_slots t =
     match t.body with
     | Flat slots -> Ivec.length slots
@@ -136,11 +124,18 @@ module Packed = struct
     | Coded _ ->
       let nk = n_keys t in
       let offsets = Ivec.create (nk + 1) in
-      let slots = Ivec.create (n_slots t) in
       Ivec.set offsets 0 0;
+      let total = ref 0 in
       for k = 0 to nk - 1 do
-        Ivec.set offsets (k + 1)
-          (Ivec.get offsets k + blit_key t k slots ~at:(Ivec.get offsets k))
+        total := !total + count t k;
+        Ivec.set offsets (k + 1) !total
+      done;
+      let slots = Ivec.create !total in
+      let pos = ref 0 in
+      for k = 0 to nk - 1 do
+        iter_key t k (fun slot ->
+            Ivec.set slots !pos slot;
+            incr pos)
       done;
       { keys = t.keys; offsets; body = Flat slots }
 end

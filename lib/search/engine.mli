@@ -52,10 +52,6 @@ module Packed : sig
   (** Apply [f] to each slot of key index [k], ascending. *)
   val iter_key : t -> int -> (int -> unit) -> unit
 
-  (** Write key index [k]'s slots into [dst] from index [at] (which must
-      have room), ascending; returns their count. *)
-  val blit_key : t -> int -> Ivec.t -> at:int -> int
-
   (** Payload size in bytes (mapped or heap-side). *)
   val bytes : t -> int
 

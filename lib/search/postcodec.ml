@@ -140,36 +140,6 @@ let iter b ~pos f =
     end
   end
 
-(* [iter] writing into [dst] from index [at], returning the slot count;
-   no closure is called per slot. *)
-let decode_into b ~pos (dst : Ivec.t) ~at =
-  let p = ref pos in
-  let n = next_varint b p in
-  if n > 0 then begin
-    let tag = u8 b !p in
-    incr p;
-    let first = next_varint b p in
-    if tag = tag_bitmap then begin
-      let nwords = next_varint b p in
-      let q = ref at in
-      for w = 0 to nwords - 1 do
-        let word = get_word_le b (!p + (8 * w)) in
-        if word <> 0L then
-          iter_word
-            (fun s -> Bigarray.Array1.unsafe_set dst !q s; incr q)
-            (first + (64 * w)) word
-      done
-    end
-    else begin
-      Bigarray.Array1.unsafe_set dst at first;
-      for i = at + 1 to at + n - 1 do
-        Bigarray.Array1.unsafe_set dst i
-          (Bigarray.Array1.unsafe_get dst (i - 1) + next_varint b p + 1)
-      done
-    end
-  end;
-  n
-
 (* -- validation ------------------------------------------------------- *)
 
 let ( let* ) = Result.bind

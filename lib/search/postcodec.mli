@@ -33,11 +33,6 @@ val count : Bvec.t -> pos:int -> int
     Allocation-free; the data must have been {!validate}d. *)
 val iter : Bvec.t -> pos:int -> (int -> unit) -> unit
 
-(** [decode_into b ~pos dst ~at] writes the run at [pos] into [dst] from
-    index [at] (which must have room) and returns its slot count — {!iter}
-    without a callback per slot.  The data must have been {!validate}d. *)
-val decode_into : Bvec.t -> pos:int -> Ivec.t -> at:int -> int
-
 (** Fully check the run occupying exactly [pos .. limit) — bounds, tag,
     varint well-formedness, slot range ([<= max_slot]), bitmap population —
     returning its slot count.  Every byte a later {!iter} touches is
