@@ -5,8 +5,6 @@
    then splices text, arena slots and postings per class using the
    ranges. *)
 
-module Index = Hashtbl.Make (String)
-
 type t = {
   names : string array;
   line_lo : int array;
@@ -14,14 +12,14 @@ type t = {
   slot_lo : int array;
   slot_hi : int array;
   ir_hash : int64 array;
-  index : int Index.t;
+  index : (string, int) Hashtbl.t;
 }
 
 let length t = Array.length t.names
 
 let build_index names =
-  let index = Index.create (max 16 (Array.length names)) in
-  Array.iteri (fun i n -> Index.replace index n i) names;
+  let index = Hashtbl.create (max 16 (Array.length names)) in
+  Array.iteri (fun i n -> Hashtbl.replace index n i) names;
   index
 
 let v ~names ~line_lo ~line_hi ~slot_lo ~slot_hi ~ir_hash =
@@ -37,9 +35,9 @@ let v ~names ~line_lo ~line_hi ~slot_lo ~slot_hi ~ir_hash =
 let empty =
   { names = [||]; line_lo = [||]; line_hi = [||]; slot_lo = [||];
     slot_hi = [||]; ir_hash = [||];
-    index = Index.create 1 }
+    index = Hashtbl.create 1 }
 
-let find t name = Index.find_opt t.index name
+let find t name = Hashtbl.find_opt t.index name
 
 let ir_hash_of t name =
   match find t name with None -> None | Some i -> Some t.ir_hash.(i)

@@ -19,7 +19,7 @@ type t = private {
   slot_lo : int array;
   slot_hi : int array;         (** [\[slot_lo.(i), slot_hi.(i))] arena slots *)
   ir_hash : int64 array;       (** structural {!Ir.Irhash.jclass} *)
-  index : int Hashtbl.Make(String).t;
+  index : (string, int) Hashtbl.t;
 }
 
 val empty : t

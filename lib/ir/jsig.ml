@@ -84,9 +84,7 @@ let pp_field ppf f = Fmt.string ppf (field_to_string f)
 module Meth_key = struct
   type t = meth
   let equal = meth_equal
-  (* structural over the parameter types themselves: no key strings are
-     built per lookup *)
-  let hash m = Hashtbl.hash (m.cls, m.name, m.params)
+  let hash m = Hashtbl.hash (m.cls, m.name, List.map Types.to_key m.params)
 end
 
 module Meth_tbl = Hashtbl.Make (Meth_key)

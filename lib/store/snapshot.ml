@@ -682,6 +682,16 @@ let patch_postings (old_p : Packed.t) ~runs:(rlo, rhi, rshift) ~monotone
   let nr = Array.length rlo in
   let carried = ref [||] in
   let old_keys : Ivec.t = old_p.Packed.keys in
+  (* one old slot, mapped through the runs (a key's slots ascend, so one
+     cursor follows them) *)
+  let r = ref 0 in
+  let carry os =
+    while !r < nr && Array.unsafe_get rhi !r <= os do incr r done;
+    if !r < nr && os >= Array.unsafe_get rlo !r then begin
+      Bigarray.Array1.unsafe_set slots !pos (os + Array.unsafe_get rshift !r);
+      incr pos
+    end
+  in
   while !ki < nk_old || !fi < nf do
     let ko =
       if !ki < nk_old then Bigarray.Array1.unsafe_get old_keys !ki else max_int
@@ -690,19 +700,8 @@ let patch_postings (old_p : Packed.t) ~runs:(rlo, rhi, rshift) ~monotone
     let k = Int.min ko kf in
     let lo = !pos in
     if ko = k then begin
-      (* the key's old slots, decoded in place, then mapped through the
-         runs (they ascend, so one cursor follows them) and compacted *)
-      let n = Packed.blit_key old_p !ki slots ~at:lo in
-      let r = ref 0 in
-      for i = lo to lo + n - 1 do
-        let os = Bigarray.Array1.unsafe_get slots i in
-        while !r < nr && Array.unsafe_get rhi !r <= os do incr r done;
-        if !r < nr && os >= Array.unsafe_get rlo !r then begin
-          Bigarray.Array1.unsafe_set slots !pos
-            (os + Array.unsafe_get rshift !r);
-          incr pos
-        end
-      done;
+      r := 0;
+      Packed.iter_key old_p !ki carry;
       incr ki
     end;
     let nc = !pos - lo in
@@ -916,35 +915,15 @@ let delta_of_engine old_engine program =
            codes)
         fresh
     in
-    (* the seven tables share one allocation per column *)
-    let olds = Engine.export_packed old_engine in
-    let room =
-      Array.mapi
-        (fun c p ->
-           let nf = Array.length fresh.(c) in
-           (Packed.n_keys p + nf, Packed.n_slots p + nf))
-        olds
-    in
-    let total f = Array.fold_left (fun n r -> n + f r) 0 room in
-    let all_keys = Ivec.create (total fst)
-    and all_offsets = Ivec.create (total fst + n_categories)
-    and all_slots = Ivec.create (total snd) in
-    let ko = ref 0 and so = ref 0 in
     let tables =
       Array.mapi
         (fun c old_p ->
-           let nk, ns = room.(c) in
-           let sub v o n = Bigarray.Array1.sub v o n in
-           let t =
-             patch_postings old_p ~runs ~monotone fresh.(c)
-               ~keys:(sub all_keys !ko nk)
-               ~offsets:(sub all_offsets (!ko + c) (nk + 1))
-               ~slots:(sub all_slots !so ns)
-           in
-           ko := !ko + nk;
-           so := !so + ns;
-           t)
-        olds
+           let nf = Array.length fresh.(c) in
+           let nk = Packed.n_keys old_p + nf in
+           patch_postings old_p ~runs ~monotone fresh.(c)
+             ~keys:(Ivec.create nk) ~offsets:(Ivec.create (nk + 1))
+             ~slots:(Ivec.create (Packed.n_slots old_p + nf)))
+        (Engine.export_packed old_engine)
     in
     let n_fresh = Array.fold_left (fun n a -> n + Array.length a) 0 fresh in
     let carried =
