@@ -124,12 +124,10 @@ let stmt st (s : Ir.Stmt.t) =
     dst st "const/4" l; str st ", #int 0"; close st
   | Assign (l, Imm (Const (Double_c f))) ->
     dst st "const-wide" l; str st (Printf.sprintf ", #double %f" f); close st
-  | Assign (l, Imm (Const (Int_c _) as v)) ->
-    dst st "const/16" l; val_op st ", " v (-1); close st
-  | Assign (l, Imm (Const (Long_c _) as v)) ->
-    dst st "const-wide" l; val_op st ", " v (-1); close st
-  | Assign (l, Imm (Const (Float_c _) as v)) ->
-    dst st "const" l; val_op st ", " v (-1); close st
+  | Assign (l, Imm (Const ((Int_c _ | Long_c _ | Float_c _) as c) as v)) ->
+    dst st (match c with Int_c _ -> "const/16" | Float_c _ -> "const"
+                       | _ -> "const-wide") l;
+    val_op st ", " v (-1); close st
   | Assign (l, Imm (Local x)) ->
     let x = reg st x in
     dst st "move-object" l; reg_op st ", " x; close st
@@ -200,14 +198,10 @@ let stmt st (s : Ir.Stmt.t) =
   | Throw v -> src st "throw" v; close st
   | Nop -> start st "nop"; close st
 
-let header st parts =
-  List.iter (str st) parts;
-  B.end_line st.tb
+let header st parts = List.iter (str st) parts; B.end_line st.tb
 
 let render_class tb ab (c : Ir.Jclass.t) =
-  let st =
-    { tb; ab; regs = Regs.create 16; next = 0; owner = -1; stmt = 0 }
-  in
+  let st = { tb; ab; regs = Regs.create 16; next = 0; owner = -1; stmt = 0 } in
   let super = match c.super with Some s -> class_op s | None -> "-" in
   header st [ "Class descriptor : '"; class_op c.name; "'" ];
   header st [ "  Superclass : '"; super; "'" ];
