@@ -198,10 +198,14 @@ let stmt st (s : Ir.Stmt.t) =
   | Throw v -> src st "throw" v; close st
   | Nop -> start st "nop"; close st
 
-let header st parts = List.iter (str st) parts; B.end_line st.tb
+let header st parts =
+  List.iter (str st) parts;
+  B.end_line st.tb
 
 let render_class tb ab (c : Ir.Jclass.t) =
-  let st = { tb; ab; regs = Regs.create 16; next = 0; owner = -1; stmt = 0 } in
+  let st =
+    { tb; ab; regs = Regs.create 16; next = 0; owner = -1; stmt = 0 }
+  in
   let super = match c.super with Some s -> class_op s | None -> "-" in
   header st [ "Class descriptor : '"; class_op c.name; "'" ];
   header st [ "  Superclass : '"; super; "'" ];
