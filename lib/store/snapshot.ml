@@ -670,13 +670,13 @@ let delta_report_to_string d =
    each moved by [shift.(r)] and sorted by [lo] (the old engine's keys are
    already live symbol ids) — a slot outside them belongs to a removed or
    re-rendered class and is dropped — merged key by key with [fresh], the
-   re-rendered classes' entries as ascending [key lsl 31 lor slot] codes.
-   The table is written into [keys], [offsets] and [slots], which have room
-   for every old and fresh key and slot. *)
+   re-rendered classes' entries as ascending [key lsl 31 lor slot] codes. *)
 let patch_postings (old_p : Packed.t) ~runs:(rlo, rhi, rshift) ~monotone
-    (fresh : int array) ~(keys : Ivec.t) ~(offsets : Ivec.t)
-    ~(slots : Ivec.t) =
+    (fresh : int array) =
   let nk_old = Packed.n_keys old_p and nf = Array.length fresh in
+  let keys = Ivec.create (nk_old + nf) in
+  let offsets = Ivec.create (nk_old + nf + 1) in
+  let slots : Ivec.t = Ivec.create (Packed.n_slots old_p + nf) in
   Ivec.set offsets 0 0;
   let nk = ref 0 and pos = ref 0 and ki = ref 0 and fi = ref 0 in
   let nr = Array.length rlo in
@@ -917,12 +917,7 @@ let delta_of_engine old_engine program =
     in
     let tables =
       Array.mapi
-        (fun c old_p ->
-           let nf = Array.length fresh.(c) in
-           let nk = Packed.n_keys old_p + nf in
-           patch_postings old_p ~runs ~monotone fresh.(c)
-             ~keys:(Ivec.create nk) ~offsets:(Ivec.create (nk + 1))
-             ~slots:(Ivec.create (Packed.n_slots old_p + nf)))
+        (fun c old_p -> patch_postings old_p ~runs ~monotone fresh.(c))
         (Engine.export_packed old_engine)
     in
     let n_fresh = Array.fold_left (fun n a -> n + Array.length a) 0 fresh in
